@@ -53,6 +53,8 @@ class RunConfig:
     oracle: OracleParams = field(default_factory=default_oracle)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
         if self.split not in SPLIT_CHOICES:
             raise ConfigError(f"split must be one of {SPLIT_CHOICES}, got {self.split!r}")
         if not 0 < self.window_days <= 1:
@@ -61,7 +63,7 @@ class RunConfig:
             raise ConfigError(f"n_tracks must be >= 1, got {self.n_tracks}")
         try:
             self.hidden = _parse_hidden(self.hidden)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def train_config(self) -> TrainConfig:
@@ -87,6 +89,21 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+
+# What a setting may hold beyond its annotated type: any number where a float
+# is expected, and a "32,64" string or a bare int for the hidden sizes.
+_ALSO_ACCEPTED = {float: (int,), tuple: (str, int, list)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               str | None: "a string or null", tuple: "a list of layer sizes"}
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Raise ConfigError unless value fits the field's annotation."""
+    accepted = (kind, *_ALSO_ACCEPTED.get(kind, ()))
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = _TYPE_NAMES.get(kind, getattr(kind, "__name__", str(kind)))
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def _parse_hidden(value) -> tuple:

@@ -448,7 +448,11 @@ def read_manifest(path) -> list:
         if header != ["track_id", "file", "split"]:
             raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
         entries = []
-        for track_id, file, split in reader:
+        for r, fields in enumerate(reader):
+            if len(fields) != 3:
+                raise ColumnSchemaError(
+                    f"{path.name}: expected 3 fields, got {len(fields)}", row=r)
+            track_id, file, split = fields
             if split not in SPLIT_LABELS:
                 raise ValueError(f"{path.name}: unknown split label {split!r}")
             entries.append((track_id, file, split))

@@ -92,8 +92,12 @@ def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
     return NetworkParams(arch, layers)
 
 
-def forward_batch(net: NetworkParams, inputs) -> tuple:
+def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
     """Run a (n, input_dim) block of normalized inputs through the network.
+
+    Each layer's output is allocated once, or written into out[i], an
+    (n, rows) array per layer (hidden layers first) that the caller supplies
+    to reuse across calls. Bias-add and the activation run in place.
 
     Returns (outputs (n, output_dim), [hidden activations per hidden layer]).
     """
@@ -101,14 +105,17 @@ def forward_batch(net: NetworkParams, inputs) -> tuple:
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise DimensionMismatchError(
             f"expected inputs shaped (n, {net.arch.input_dim}), got {x.shape}")
+    if out is None:
+        out = [np.empty((x.shape[0], w.shape[0])) for w, _ in net.layers]
     act = ACTIVATIONS[net.arch.activation]
-    hidden = []
     h = x
-    for w, b in net.layers[:-1]:
-        h = act(h @ w.T + b)
-        hidden.append(h)
-    w, b = net.layers[-1]
-    return h @ w.T + b, hidden
+    for i, ((w, b), z) in enumerate(zip(net.layers, out)):
+        np.matmul(h, w.T, out=z)
+        z += b
+        if i < len(net.layers) - 1:
+            act(z, out=z)
+        h = z
+    return h, list(out[:-1])
 
 
 def forward(net: NetworkParams, x) -> tuple:
@@ -203,6 +210,16 @@ def _payload_get(payload, key, context="checkpoint"):
     return payload[key]
 
 
+def _meta_number(raw_meta, key, kind):
+    """meta[key] as kind: an integer for int, any number for float."""
+    value = _payload_get(raw_meta, key, "meta")
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "an integer" if kind is int else "a number"
+        raise CheckpointFormatError(f"meta.{key} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint, validating version,
     structure, dimensions, and finiteness."""
@@ -264,8 +281,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     raw_meta = _payload_get(payload, "meta")
     meta = CheckpointMeta(
-        seed=int(_payload_get(raw_meta, "seed", "meta")),
-        epochs_trained=int(_payload_get(raw_meta, "epochs_trained", "meta")),
-        final_train_mse=float(_payload_get(raw_meta, "final_train_mse", "meta")),
+        seed=_meta_number(raw_meta, "seed", int),
+        epochs_trained=_meta_number(raw_meta, "epochs_trained", int),
+        final_train_mse=_meta_number(raw_meta, "final_train_mse", float),
     )
     return Checkpoint(NetworkParams(arch, layers), Normalizer(means, stds, flags), meta)

@@ -51,29 +51,34 @@ def affine(weights, x, bias) -> np.ndarray:
     return w @ v + b
 
 
-def tanh_act(v) -> np.ndarray:
-    """Componentwise hyperbolic tangent.
+def tanh_act(v, out=None) -> np.ndarray:
+    """Componentwise hyperbolic tangent, written into out if given (out may
+    be v itself).
 
     Saturated entries are pulled in by one ulp so results are strictly
     inside (-1, 1).
     """
-    out = np.tanh(np.asarray(v, dtype=np.float64))
-    return np.clip(out, -_ONE_BELOW, _ONE_BELOW)
+    out = np.tanh(np.asarray(v, dtype=np.float64), out=out)
+    return np.clip(out, -_ONE_BELOW, _ONE_BELOW, out=out)
 
 
-def sigmoid_act(v) -> np.ndarray:
-    """Componentwise logistic function, strictly inside (0, 1).
+def sigmoid_act(v, out=None) -> np.ndarray:
+    """Componentwise logistic function, strictly inside (0, 1), written into
+    out if given (out may be v itself).
 
-    Evaluated piecewise so neither branch exponentiates a large positive
-    argument.
+    With e = exp(-|v|), which never exponentiates a large positive argument,
+    it is 1 / (1 + e) where v >= 0 and e / (1 + e) where v < 0.
     """
     z = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _ZERO_ABOVE, _ONE_BELOW)
+    neg = z < 0
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.add(1.0, e, out=out)
+    np.divide(e, out, out=e)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, e, where=neg)
+    return np.clip(out, _ZERO_ABOVE, _ONE_BELOW, out=out)
 
 
 class ColumnStats(NamedTuple):

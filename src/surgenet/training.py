@@ -10,6 +10,7 @@ rounding, so worker count never changes what is learned.
 
 import csv
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,31 +111,60 @@ class AdamState:
         return cls(m, v, 0)
 
 
-def _activation_slope(activation: str, h: np.ndarray) -> np.ndarray:
-    # Derivatives written in terms of the activation value itself.
+class _StepBuffers:
+    """One thread's scratch arrays for training steps of up to `rows` batch
+    rows: each layer's output (the output layer's then holds diff and then
+    delta), the squared errors, and each hidden layer's delta."""
+
+    def __init__(self, arch: Architecture, rows: int):
+        sizes = [r for r, _ in arch.layer_dims()]
+        self.outputs = [np.empty((rows, s)) for s in sizes]
+        self.squares = np.empty((rows, arch.output_dim))
+        self.deltas = [np.empty((rows, s)) for s in sizes[:-1]]
+
+
+def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None:
+    # Overwrite activation values with the activation's derivative, written in
+    # terms of the value itself: 1 - h^2 (tanh) or h * (1 - h) (sigmoid).
     if activation == "tanh":
-        return 1.0 - h * h
-    return h * (1.0 - h)  # sigmoid
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+    else:
+        np.subtract(1.0, h, out=scratch)
+        np.multiply(h, scratch, out=h)
 
 
-def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray) -> tuple:
+def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
+                    buffers: _StepBuffers | None = None) -> tuple:
     """Mean squared error over all rows and outputs, and its exact gradient.
 
-    x is (n, input_dim) of normalized inputs, t is (n, output_dim).
+    x is (n, input_dim) of normalized inputs, t is (n, output_dim). The
+    intermediates go into buffers, which must have room for n rows, or into
+    arrays allocated for this call. The returned loss and gradients never
+    alias the buffers.
     """
-    outputs, hidden = forward_batch(net, x)
-    n, k = outputs.shape
-    diff = outputs - t
-    loss = float((diff * diff).sum() / (n * k))
+    n = x.shape[0]
+    if buffers is None:
+        buffers = _StepBuffers(net.arch, n)
+    outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs])
+    k = outputs.shape[1]
+    diff = np.subtract(outputs, t, out=outputs)
+    squares = np.multiply(diff, diff, out=buffers.squares[:n])
+    loss = float(squares.sum() / (n * k))
 
     acts = [x, *hidden]  # input to each layer
-    delta = diff * (2.0 / (n * k))
+    delta = np.multiply(diff, 2.0 / (n * k), out=diff)
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
+            # This layer's input is no longer needed, so its slope replaces it.
             w, _ = net.layers[i]
-            delta = (delta @ w) * _activation_slope(net.arch.activation, hidden[i - 1])
+            slope = hidden[i - 1]
+            next_delta = buffers.deltas[i - 1][:n]
+            _slope_in_place(net.arch.activation, slope, next_delta)
+            delta = np.matmul(delta, w, out=next_delta)
+            delta *= slope
     return loss, GradientSet(grads)
 
 
@@ -170,19 +200,26 @@ def adam_step(net: NetworkParams, grads: GradientSet, state: AdamState,
     return NetworkParams(net.arch, new_layers), AdamState(new_m, new_v, t)
 
 
-def sample_batch(rng: Rng, tracks, batch_tracks: int) -> tuple:
-    """Draw batch_tracks distinct tracks uniformly and stack all their rows.
+def sample_batch(rng: Rng, data: tuple, batch_tracks: int, out=None) -> tuple:
+    """Draw batch_tracks distinct tracks uniformly and gather all their rows.
 
-    Returns (inputs (n, 6), targets (n, 10)); batches always contain whole
-    tracks, never partial ones.
+    data is (inputs, targets), each stacked per track as (tracks, rows,
+    cols). Returns (inputs (n, input cols), targets (n, target cols)) with
+    n = batch_tracks * rows; out, if given, is an (inputs, targets) pair
+    shaped (batch_tracks, rows, cols) that receives them. Batches always
+    contain whole tracks, never partial ones.
     """
-    if batch_tracks > len(tracks):
+    inputs, targets = data
+    if batch_tracks > len(inputs):
         raise ValueError(
-            f"batch of {batch_tracks} tracks requested but only {len(tracks)} available")
-    idx = rng.choice_without_replacement(len(tracks), batch_tracks)
-    x = np.concatenate([tracks[i].inputs for i in idx])
-    t = np.concatenate([tracks[i].surge for i in idx])
-    return x, t
+            f"batch of {batch_tracks} tracks requested but only {len(inputs)} available")
+    idx = rng.choice_without_replacement(len(inputs), batch_tracks)
+    x_out, t_out = (None, None) if out is None else out
+    # idx is in range by construction; mode="clip" only skips the bounds
+    # check, which would gather through a temporary copy instead of into out.
+    x = np.take(inputs, idx, axis=0, out=x_out, mode="clip")
+    t = np.take(targets, idx, axis=0, out=t_out, mode="clip")
+    return x.reshape(-1, x.shape[-1]), t.reshape(-1, t.shape[-1])
 
 
 def _shard_bounds(n_rows: int, workers: int) -> list:
@@ -214,12 +251,51 @@ def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
     return loss * scale, GradientSet([(gw * scale, gb * scale) for gw, gb in acc])
 
 
+class _StepExecutor:
+    """What the training steps of one train() call reuse: the batch gather
+    buffers, the thread pool that shards run on (workers > 1), and one
+    _StepBuffers per thread that runs steps, made on its first step.
+
+    Nothing here outlives the train() call that owns it.
+    """
+
+    def __init__(self, arch: Architecture, batch_tracks: int, rows_per_track: int,
+                 workers: int):
+        self.batch = (np.empty((batch_tracks, rows_per_track, arch.input_dim)),
+                      np.empty((batch_tracks, rows_per_track, arch.output_dim)))
+        n_rows = batch_tracks * rows_per_track
+        self._arch = arch
+        self._rows = -(-n_rows // min(workers, n_rows))  # the largest shard
+        self._local = threading.local()
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def buffers(self) -> _StepBuffers:
+        """The calling thread's step buffers."""
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None:
+            buffers = self._local.buffers = _StepBuffers(self._arch, self._rows)
+        return buffers
+
+    def map(self, fn, jobs):
+        return self._pool.map(fn, jobs)
+
+    def shutdown(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
 def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
+    """Mean loss and gradient of a batch whose rows are sharded across workers.
+
+    executor is the _StepExecutor of a train() call: shards run on its pool
+    and each step reuses its thread's buffers. Without one, shards run on a
+    pool made for this call, and each step allocates its own buffers.
+    """
     n_rows = x.shape[0]
     if n_rows == 0:
         raise ValueError("cannot compute gradients for an empty batch")
     if workers <= 1 or n_rows == 1:
-        return _batch_backprop(net, x, t)
+        return _batch_backprop(net, x, t, None if executor is None else executor.buffers())
     bounds = _shard_bounds(n_rows, workers)
     jobs = [(x[lo:hi], t[lo:hi]) for lo, hi in bounds]
     # Workers only read net; results are reduced in shard order regardless of
@@ -228,7 +304,8 @@ def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             results = list(pool.map(lambda job: _batch_backprop(net, *job), jobs))
     else:
-        results = list(executor.map(lambda job: _batch_backprop(net, *job), jobs))
+        results = list(executor.map(
+            lambda job: _batch_backprop(net, *job, executor.buffers()), jobs))
     return _weighted_mean_grads(results, bounds, n_rows)
 
 
@@ -258,7 +335,7 @@ class HistoryRow:
 
 def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray) -> float:
     outputs, _ = forward_batch(net, x)
-    diff = outputs - t
+    diff = np.subtract(outputs, t, out=outputs)
     return float((diff * diff).sum() / diff.size)
 
 
@@ -280,9 +357,10 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
         raise ValueError(
             f"batch_tracks = {cfg.batch_tracks} exceeds the {len(tracks)} training tracks")
 
-    normalizer = fit_normalizer(np.concatenate([tr.inputs for tr in tracks]))
-    xs = [normalizer.apply(tr.inputs) for tr in tracks]
-    ts = [np.asarray(tr.surge, dtype=np.float64) for tr in tracks]
+    raw_inputs = np.stack([tr.inputs for tr in tracks])
+    normalizer = fit_normalizer(raw_inputs.reshape(-1, raw_inputs.shape[-1]))
+    data = (normalizer.apply(raw_inputs),
+            np.stack([np.asarray(tr.surge, dtype=np.float64) for tr in tracks]))
 
     val_x = val_t = None
     if cfg.validation_every and split.validation:
@@ -296,13 +374,11 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
     history = []
     best = None  # (val_mse, params copy, epoch, train_mse)
-    executor = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    executor = _StepExecutor(cfg.arch, cfg.batch_tracks, data[0].shape[1], cfg.workers)
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
-            idx = batch_rng.choice_without_replacement(len(tracks), cfg.batch_tracks)
-            x = np.concatenate([xs[i] for i in idx])
-            t = np.concatenate([ts[i] for i in idx])
+            x, t = sample_batch(batch_rng, data, cfg.batch_tracks, out=executor.batch)
             loss, grads = _parallel_loss_grads(net, x, t, cfg.workers, executor)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
@@ -318,8 +394,7 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
             if progress is not None and val is not None:
                 progress(row)
     finally:
-        if executor is not None:
-            executor.shutdown()
+        executor.shutdown()
 
     if best is not None:
         _, final_net, sel_epoch, sel_loss = best

@@ -232,6 +232,20 @@ class TestConfigFile:
         assert code == 1
         assert "unparsable config" in stderr
 
+    @pytest.mark.parametrize("line,key", [
+        ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
+        ("learning_rate: 1e-3", "learning_rate"), ("track: 7", "track"),
+        ("hidden: {a: 1}", "hidden"),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(line + "\n")
+        code, _, stderr = run(capsys, "train", "--config", str(cfg),
+                              "--corpus", str(tmp_path / "none"), "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert stderr.startswith("error: ") and key in stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_default_config_file_matches_builtin_defaults(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
         settings = cli.load_config_file(path)

@@ -465,6 +465,14 @@ class TestManifest:
         with pytest.raises(ColumnSchemaError, match="manifest"):
             read_manifest(path)
 
+    def test_short_row_names_file_and_row(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("track_id,file,split\n"
+                        "track_0001,track_0001.csv,train\n"
+                        "track_0002,test\n")
+        with pytest.raises(ColumnSchemaError, match=r"manifest\.csv.*3 fields.*row 1"):
+            read_manifest(path)
+
     def test_unknown_split_label_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("track_id,file,split\ntrack_0001,track_0001.csv,holdout\n")

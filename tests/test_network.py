@@ -156,6 +156,18 @@ class TestForward:
             np.testing.assert_allclose(batch_y[i], y, atol=1e-14)
 
 
+    def test_out_buffers_reused(self):
+        net = small_net(hidden=(4, 5))
+        xs = Rng(9).normal(size=(7, 6))
+        y, hidden = forward_batch(net, xs)
+        out = [np.empty((7, rows)) for rows, _ in net.arch.layer_dims()]
+        y_out, hidden_out = forward_batch(net, xs, out)
+        assert y_out is out[-1] and all(h is o for h, o in zip(hidden_out, out))
+        np.testing.assert_array_equal(y_out, y)
+        for h, h_out in zip(hidden, hidden_out):
+            np.testing.assert_array_equal(h_out, h)
+
+
 class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -224,6 +236,18 @@ class TestCheckpoint:
         del payload["normalizer"]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointFormatError, match="normalizer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("epochs_trained", 2.5), ("epochs_trained", None),
+        ("final_train_mse", "0.1"), ("seed", True),
+    ])
+    def test_bad_meta_value_names_its_field(self, saved, key, value):
+        *_, path = saved
+        payload = json.loads(path.read_text())
+        payload["meta"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=f"meta.{key}"):
             load_checkpoint(path)
 
     def test_non_finite_values_rejected(self, saved):

@@ -65,6 +65,18 @@ class TestActivations:
         assert np.all(out > -1.0) and np.all(out < 1.0)
         assert abs(out[-1] - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("act", [tanh_act, sigmoid_act])
+    def test_out_in_place_matches_fresh(self, act):
+        v = np.concatenate([np.linspace(-60.0, 60.0, 241), [0.0, -0.0, np.inf, -np.inf]])
+        expected = act(v)
+        buf = v.copy()
+        assert act(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+        other = np.empty_like(v)
+        assert act(v, out=other) is other
+        np.testing.assert_array_equal(other, expected)
+        assert np.all(expected > -1.0) and np.all(expected < 1.0)
+
     def test_sigmoid_zero_is_half(self):
         assert sigmoid_act(np.array([0.0])).tolist() == [0.5]
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from surgenet.training import (
     AdamState,
     GradientSet,
     TrainConfig,
+    _batch_backprop,
+    _parallel_loss_grads,
     _shard_bounds,
+    _StepBuffers,
+    _StepExecutor,
     adam_step,
     backprop,
     fit_normalizer,
@@ -42,6 +47,11 @@ def zero_net(arch):
     net = init_network(arch, Rng(0))
     return NetworkParams(arch, [(np.zeros_like(w), np.zeros_like(b))
                                 for w, b in net.layers])
+
+
+def stacked(tracks):
+    """Tracks stacked as sample_batch expects: (inputs, targets) per track."""
+    return np.stack([tr.inputs for tr in tracks]), np.stack([tr.surge for tr in tracks])
 
 
 def max_layer_diff(a, b):
@@ -176,7 +186,7 @@ class TestAdam:
 class TestBatchSampling:
     def test_full_batch_uses_every_track_once(self):
         tracks = make_tracks(5)
-        x, t = sample_batch(Rng(10), tracks, 5)
+        x, t = sample_batch(Rng(10), stacked(tracks), 5)
         assert x.shape == (5 * 193, 6)
         assert t.shape == (5 * 193, 10)
         expected = {tr.inputs[0].tobytes() for tr in tracks}
@@ -185,19 +195,28 @@ class TestBatchSampling:
 
     def test_whole_track_row_count(self):
         tracks = make_tracks(4)
-        x, _ = sample_batch(Rng(11), tracks, 3)
+        x, _ = sample_batch(Rng(11), stacked(tracks), 3)
         assert x.shape[0] == 3 * 193
 
     def test_same_seed_same_batch(self):
         tracks = make_tracks(6)
-        x1, t1 = sample_batch(Rng(12), tracks, 4)
-        x2, t2 = sample_batch(Rng(12), tracks, 4)
+        x1, t1 = sample_batch(Rng(12), stacked(tracks), 4)
+        x2, t2 = sample_batch(Rng(12), stacked(tracks), 4)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(t1, t2)
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(ValueError, match="only 2 available"):
-            sample_batch(Rng(13), make_tracks(2), 3)
+            sample_batch(Rng(13), stacked(make_tracks(2)), 3)
+
+    def test_gathers_into_out(self):
+        data = stacked(make_tracks(6))
+        x, t = sample_batch(Rng(14), data, 4)
+        out = (np.empty((4, 193, 6)), np.empty((4, 193, 10)))
+        x_out, t_out = sample_batch(Rng(14), data, 4, out=out)
+        np.testing.assert_array_equal(x_out, x)
+        np.testing.assert_array_equal(t_out, t)
+        assert np.shares_memory(x_out, out[0]) and np.shares_memory(t_out, out[1])
 
 
 class TestSharding:
@@ -361,3 +380,184 @@ class TestWriteHistory:
                 assert row[3] == ""
             else:
                 assert float(row[3]) == rec.val_mse
+
+
+# The allocation-heavy training step that the buffered one replaced, kept as
+# the reference it must match bit for bit: fresh arrays for every layer
+# output, activation, slope and delta.
+_ONE_BELOW = np.nextafter(1.0, 0.0)
+_ZERO_ABOVE = np.nextafter(0.0, 1.0)
+
+
+def _reference_tanh(v):
+    return np.clip(np.tanh(np.asarray(v, dtype=np.float64)), -_ONE_BELOW, _ONE_BELOW)
+
+
+def _reference_sigmoid(v):
+    z = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, _ZERO_ABOVE, _ONE_BELOW)
+
+
+def _reference_forward(net, x):
+    act = {"tanh": _reference_tanh, "sigmoid": _reference_sigmoid}[net.arch.activation]
+    hidden = []
+    h = x
+    for w, b in net.layers[:-1]:
+        h = act(h @ w.T + b)
+        hidden.append(h)
+    w, b = net.layers[-1]
+    return h @ w.T + b, hidden
+
+
+def _reference_step(net, x, t):
+    outputs, hidden = _reference_forward(net, x)
+    n, k = outputs.shape
+    diff = outputs - t
+    loss = float((diff * diff).sum() / (n * k))
+    acts = [x, *hidden]
+    delta = diff * (2.0 / (n * k))
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            w, _ = net.layers[i]
+            h = hidden[i - 1]
+            slope = 1.0 - h * h if net.arch.activation == "tanh" else h * (1.0 - h)
+            delta = (delta @ w) * slope
+    return loss, grads
+
+
+def _reference_loss_grads(net, x, t, workers):
+    """The reference step over shards, reduced in shard order by shard size."""
+    if workers <= 1:
+        return _reference_step(net, x, t)
+    loss, acc = 0.0, None
+    for lo, hi in _shard_bounds(len(x), workers):
+        shard_loss, shard_grads = _reference_step(net, x[lo:hi], t[lo:hi])
+        w = hi - lo
+        loss += w * shard_loss
+        if acc is None:
+            acc = [[w * gw, w * gb] for gw, gb in shard_grads]
+        else:
+            for slot, (gw, gb) in zip(acc, shard_grads):
+                slot[0] += w * gw
+                slot[1] += w * gb
+    scale = 1.0 / len(x)
+    return loss * scale, [(gw * scale, gb * scale) for gw, gb in acc]
+
+
+def assert_same_grads(got, expected):
+    assert len(got) == len(expected)
+    for (gw, gb), (ew, eb) in zip(got, expected):
+        assert np.array_equal(gw, ew) and np.array_equal(gb, eb)
+
+
+def random_batch(arch, tracks, seed, scale=1.0):
+    n = tracks * 193
+    x = Rng(seed).normal(size=(n, arch.input_dim)) * scale
+    t = Rng(seed + 1).normal(size=(n, arch.output_dim))
+    return x, t
+
+
+class TestBufferedStep:
+    # scale 40 drives tanh into saturation, where the ulp clip decides the
+    # activation and the slope (0 unclipped, about 2e-16 clipped).
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("hidden", [(32, 64), (16,)])
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_bitwise_equal_to_reference(self, activation, hidden, scale):
+        arch = Architecture(6, hidden, 10, activation)
+        net = init_network(arch, Rng(30))
+        x, t = random_batch(arch, 3, 31, scale)
+        x, t = x[:-1], t[:-1]  # an odd row count, so shards differ in size
+        ref_loss, ref_grads = _reference_step(net, x, t)
+        if scale > 1.0 and activation == "tanh":
+            assert np.any(np.abs(_reference_forward(net, x)[1][0]) == _ONE_BELOW)
+
+        loss, grads = _batch_backprop(net, x, t)
+        assert loss == ref_loss
+        assert_same_grads(grads.layers, ref_grads)
+
+        roomy = _StepBuffers(arch, len(x) + 5)  # buffers larger than the batch
+        loss, grads = _batch_backprop(net, x, t, roomy)
+        assert loss == ref_loss
+        assert_same_grads(grads.layers, ref_grads)
+
+        for workers in (1, 2):
+            expected_loss, expected = _reference_loss_grads(net, x, t, workers)
+            assert_same_grads(parallel_gradient(net, (x, t), workers).layers, expected)
+            assert _parallel_loss_grads(net, x, t, workers)[0] == expected_loss
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_buffers_never_leak_into_results(self, workers):
+        arch = Architecture(6, (32, 64), 10)
+        net = init_network(arch, Rng(32))
+        executor = _StepExecutor(arch, 3, 193, workers)
+        try:
+            first = random_batch(arch, 3, 33)
+            second = random_batch(arch, 3, 35, scale=5.0)
+            loss1, grads1 = _parallel_loss_grads(net, *first, workers, executor)
+            kept = [(gw.copy(), gb.copy()) for gw, gb in grads1.layers]
+            loss2, grads2 = _parallel_loss_grads(net, *second, workers, executor)
+        finally:
+            executor.shutdown()
+        assert_same_grads(grads1.layers, kept)
+        for (loss, grads), batch in (((loss1, grads1), first), ((loss2, grads2), second)):
+            expected_loss, expected = _reference_loss_grads(net, *batch, workers)
+            assert loss == expected_loss
+            assert_same_grads(grads.layers, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_train_matches_reference_loop(self, split, workers):
+        cfg = TrainConfig(arch=Architecture(6, (8, 8), 10, "sigmoid"), epochs=15,
+                          batch_tracks=4, validation_every=0, seed=77, workers=workers)
+        ck, history = train(cfg, split)
+
+        tracks = split.training
+        norm = fit_normalizer(np.concatenate([tr.inputs for tr in tracks]))
+        root = Rng(cfg.seed)
+        net = init_network(cfg.arch, root.child(0))
+        batch_rng = root.child(1)
+        state = AdamState.zeros(net)
+        for row in history:
+            idx = batch_rng.choice_without_replacement(len(tracks), cfg.batch_tracks)
+            x = np.concatenate([norm.apply(tracks[i].inputs) for i in idx])
+            t = np.concatenate([tracks[i].surge for i in idx])
+            loss, grads = _reference_loss_grads(net, x, t, workers)
+            assert row.train_mse == loss
+            net, state = adam_step(net, GradientSet(grads), state, row.lr, cfg)
+        assert max_layer_diff(ck.net.layers, net.layers) == 0.0
+
+
+class TestStepAllocation:
+    def test_warm_default_step_allocates_under_1mb(self):
+        # The allocating step took about 15.7 MB of temporaries per call at
+        # these shapes; the buffered one allocates only the returned
+        # gradients and the optimizer's new parameters.
+        arch = Architecture(6, (32, 64), 10)
+        cfg = TrainConfig(arch=arch, epochs=1)
+        data = (Rng(40).normal(size=(40, 193, 6)), Rng(41).normal(size=(40, 193, 10)))
+        batch_rng = Rng(42)
+        executor = _StepExecutor(arch, 32, 193, 1)
+
+        def step(net, state):
+            x, t = sample_batch(batch_rng, data, 32, out=executor.batch)
+            _, grads = _parallel_loss_grads(net, x, t, 1, executor)
+            return adam_step(net, grads, state, cfg.learning_rate, cfg)
+
+        net = init_network(arch, Rng(43))
+        net, state = step(net, AdamState.zeros(net))  # warm: makes the buffers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(net, state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        executor.shutdown()
+        assert peak < 1_000_000
