@@ -9,6 +9,7 @@ deterministic for a given seed.
 import argparse
 import csv
 import dataclasses
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ import yaml
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
-from .network import Architecture, forward_batch, load_checkpoint, save_checkpoint
+from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
 _TC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
@@ -64,7 +65,7 @@ class RunConfig:
         try:
             self.hidden = _parse_hidden(self.hidden)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"hidden: {exc}") from None
 
     def train_config(self) -> TrainConfig:
         arch = Architecture(
@@ -73,20 +74,10 @@ class RunConfig:
             output_dim=dataset.N_STATIONS,
             activation=self.activation,
         )
+        settings = {f.name: getattr(self, f.name)
+                    for f in dataclasses.fields(TrainConfig) if f.name != "arch"}
         try:
-            return TrainConfig(
-                arch=arch,
-                epochs=self.epochs,
-                batch_tracks=self.batch_tracks,
-                learning_rate=self.learning_rate,
-                lr_decay=self.lr_decay,
-                adam_beta1=self.adam_beta1,
-                adam_beta2=self.adam_beta2,
-                adam_eps=self.adam_eps,
-                workers=self.workers,
-                seed=self.seed,
-                validation_every=self.validation_every,
-            )
+            return TrainConfig(arch=arch, **settings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -107,16 +98,14 @@ def _check_type(name: str, value, kind) -> None:
 
 
 def _parse_hidden(value) -> tuple:
-    """Accept "32,64", a single int, or a sequence of 1-2 positive ints."""
+    """Accept "32,64", a single int, or a sequence of sizes that Architecture
+    accepts (1-2 positive integers)."""
     if isinstance(value, str):
         parts = [p.strip() for p in value.split(",") if p.strip()]
         value = [int(p) for p in parts]
     elif isinstance(value, int):
         value = [value]
-    sizes = tuple(int(v) for v in value)
-    if not 1 <= len(sizes) <= 2 or any(s < 1 for s in sizes):
-        raise ValueError(f"hidden must be 1 or 2 positive sizes, got {sizes!r}")
-    return sizes
+    return Architecture(len(dataset.INPUT_COLUMNS), value, dataset.N_STATIONS).hidden_sizes
 
 
 _ORACLE_KEYS = {f.name for f in dataclasses.fields(OracleParams)}
@@ -139,10 +128,21 @@ def _build_oracle(raw) -> OracleParams:
         raise ConfigError(f"invalid oracle settings: {exc}") from None
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads exponent floats without a dot, such as 1e-3,
+    as floats (YAML 1.2 core schema); YAML 1.1 would read them as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_config_file(path) -> dict:
     """Parse a YAML config file, rejecting unknown keys."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"unparsable config {path}: {exc}") from None
     if raw is None:
@@ -157,13 +157,6 @@ def load_config_file(path) -> dict:
     return raw
 
 
-# Flag destinations that override the same-named RunConfig fields when given.
-_OVERRIDE_DESTS = (
-    "seed", "corpus_dir", "checkpoint", "track", "n_tracks", "hidden",
-    "activation", "epochs", "batch_tracks", "learning_rate", "lr_decay",
-    "workers", "validation_every", "split", "window_days",
-)
-
 # --out means "this subcommand's primary output path".
 _OUT_DEST = {
     "generate": "corpus_dir",
@@ -175,9 +168,9 @@ _OUT_DEST = {
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     settings = load_config_file(args.config) if args.config else {}
-    for dest in _OVERRIDE_DESTS:
-        value = getattr(args, dest, None)
-        if value is not None:
+    # A flag overrides the RunConfig field its destination names.
+    for dest, value in vars(args).items():
+        if dest in _CONFIG_KEYS and value is not None:
             settings[dest] = value
     if getattr(args, "out", None) is not None:
         settings[_OUT_DEST[args.command]] = args.out
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lr", dest="learning_rate", type=float)
     tr.add_argument("--lr-decay", dest="lr_decay", type=float)
     tr.add_argument("--workers", type=int)
-    tr.add_argument("--activation", choices=sorted(("tanh", "sigmoid")))
+    tr.add_argument("--activation", choices=sorted(ACTIVATIONS))
     tr.add_argument("--validation-every", dest="validation_every", type=int)
     tr.set_defaults(func=cmd_train)
 

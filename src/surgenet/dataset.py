@@ -89,19 +89,6 @@ def _inland_normal(lon_deg: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class TrackRow:
-    """One 30-minute snapshot of a storm and the surge it produces."""
-
-    tau_days: float
-    lon_deg: float
-    lat_deg: float
-    rmax_km: float
-    vmax_ms: float
-    fspeed_ms: float
-    surge_m: tuple
-
-
-@dataclass(frozen=True)
 class StormTrack:
     """One storm: inputs (193, 6) and station surge (193, 10), both read-only."""
 
@@ -118,10 +105,6 @@ class StormTrack:
     @property
     def tau(self) -> np.ndarray:
         return self.inputs[:, 0]
-
-    def row(self, i: int) -> TrackRow:
-        vals = self.inputs[i]
-        return TrackRow(*vals, surge_m=tuple(self.surge[i]))
 
 
 def validate_track(track: StormTrack) -> None:

@@ -91,12 +91,17 @@ def collect_errors(net, normalizer, tracks, window_days=None) -> list:
     window_days restricts every track to its landfall window; None keeps all
     rows. Returns ten 1-D arrays, one per station.
     """
-    tracks = list(tracks)
-    if not tracks:
+    return _pool_errors([(tr, predict_track(net, normalizer, tr)) for tr in tracks],
+                        window_days)
+
+
+def _pool_errors(series, window_days) -> list:
+    """collect_errors over (track, predictions) pairs that are already known."""
+    if not series:
         raise ValueError("no tracks to collect errors from")
     parts = [[] for _ in range(N_STATIONS)]
-    for track in tracks:
-        err = predict_track(net, normalizer, track) - track.surge
+    for track, preds in series:
+        err = preds - track.surge
         if window_days is not None:
             rows = landfall_window(track, window_days)
             err = err[rows.start:rows.stop]
@@ -225,8 +230,8 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     obs = np.concatenate([tr.surge for tr, _ in series])
     metrics = location_metrics(preds, obs)
 
-    full_errors = collect_errors(net, normalizer, tracks)
-    window_errors = collect_errors(net, normalizer, tracks, window_days=window_days)
+    full_errors = _pool_errors(series, None)
+    window_errors = _pool_errors(series, window_days)
     full_pdfs = [fit_kde(full_errors[i], location=i + 1) for i in range(N_STATIONS)]
     window_pdfs = [fit_kde(window_errors[i], location=i + 1) for i in range(N_STATIONS)]
     return EvaluationResult(label, metrics, full_pdfs, window_pdfs, series, window_days)

@@ -1,5 +1,5 @@
 """Feedforward network: architecture description, initialization, inference,
-parameter counting, and a versioned JSON checkpoint format.
+the input normalizer, and a versioned JSON checkpoint format.
 
 Hidden layers use a bounded activation (tanh by default); the output layer is
 linear. Inference expects inputs that are already normalized.
@@ -7,6 +7,7 @@ linear. Inference expects inputs that are already normalized.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,9 @@ class Architecture:
     activation: str = "tanh"
 
     def __post_init__(self):
+        for d in (self.input_dim, *self.hidden_sizes, self.output_dim):
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+                raise ValueError(f"layer sizes must be integers, got {d!r}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "output_dim", int(self.output_dim))
@@ -131,19 +135,25 @@ def forward(net: NetworkParams, x) -> tuple:
     return y[0], [h[0] for h in hidden]
 
 
-def param_count(arch: Architecture) -> int:
-    """Exact number of trainable scalars: sum of rows*cols + rows per layer."""
-    return sum(rows * cols + rows for rows, cols in arch.layer_dims())
+@dataclass(frozen=True)
+class Normalizer:
+    """Column-wise standardization fitted on training inputs only."""
+
+    means: np.ndarray
+    stds: np.ndarray
+    constant_flags: np.ndarray
+
+    def apply(self, inputs) -> np.ndarray:
+        return (np.asarray(inputs, dtype=np.float64) - self.means) / self.stds
+
+    def invert(self, normalized) -> np.ndarray:
+        return np.asarray(normalized, dtype=np.float64) * self.stds + self.means
 
 
-def neuron_budget(n_samples: int) -> int:
-    """Rule-of-thumb ceiling on total neurons, floor(sqrt(n_samples / 4)).
-
-    Keeps roughly four training samples per free parameter.
-    """
-    if n_samples < 0:
-        raise ValueError(f"sample count must be >= 0, got {n_samples}")
-    return math.isqrt(n_samples // 4)
+def fit_normalizer(inputs) -> Normalizer:
+    """Population mean/std per column; constant columns standardize to zero."""
+    stats = numerics.column_stats(inputs)
+    return Normalizer(stats.means, stats.stds, stats.constant)
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ class Checkpoint:
     """A trained network plus the normalizer its inputs require."""
 
     net: NetworkParams
-    normalizer: object  # training.Normalizer; typed loosely to avoid a module cycle
+    normalizer: Normalizer
     meta: CheckpointMeta
 
 
@@ -223,8 +233,6 @@ def _meta_number(raw_meta, key, kind):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint, validating version,
     structure, dimensions, and finiteness."""
-    from .training import Normalizer  # imported here to avoid a module cycle
-
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)

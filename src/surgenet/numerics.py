@@ -1,5 +1,5 @@
-"""Dense float64 linear algebra, activations, column statistics, and the
-seeded random source used everywhere else in the package.
+"""Float64 vector coercion, activations, column statistics, and the seeded
+random source used everywhere else in the package.
 
 Everything here is pure: the same inputs (and the same seed path) produce
 bitwise-identical results on every platform.
@@ -27,28 +27,6 @@ def as_vector(data) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a contiguous 2-D float64 array (row-major)."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def affine(weights, x, bias) -> np.ndarray:
-    """weights @ x + bias, the building block of every layer."""
-    w = as_matrix(weights)
-    v = as_vector(x)
-    b = as_vector(bias)
-    if w.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"weights have {w.shape[1]} columns but x has length {v.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"weights have {w.shape[0]} rows but bias has length {b.shape[0]}")
-    return w @ v + b
 
 
 def tanh_act(v, out=None) -> np.ndarray:
@@ -135,10 +113,6 @@ class Rng:
         rng._gen = _generator_for(path)
         return rng
 
-    @property
-    def seed_path(self) -> tuple:
-        return self._path
-
     def child(self, index: int) -> "Rng":
         """Independent generator keyed by (this path, index)."""
         if index < 0:
@@ -163,8 +137,3 @@ class Rng:
 
     def shuffled_indices(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def normal_sample(rng: Rng, mean: float, std: float) -> float:
-    """One draw from Normal(mean, std); std = 0 returns mean exactly."""
-    return float(rng.normal(mean, std))

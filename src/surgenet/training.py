@@ -23,33 +23,13 @@ from .network import (
     Checkpoint,
     CheckpointMeta,
     NetworkParams,
+    fit_normalizer,
     forward_batch,
     init_network,
 )
-from .numerics import Rng, column_stats
+from .numerics import Rng
 
 DEFAULT_SEED = 20170324
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Column-wise standardization fitted on training inputs only."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    constant_flags: np.ndarray
-
-    def apply(self, inputs) -> np.ndarray:
-        return (np.asarray(inputs, dtype=np.float64) - self.means) / self.stds
-
-    def invert(self, normalized) -> np.ndarray:
-        return np.asarray(normalized, dtype=np.float64) * self.stds + self.means
-
-
-def fit_normalizer(inputs) -> Normalizer:
-    """Population mean/std per column; constant columns standardize to zero."""
-    stats = column_stats(inputs)
-    return Normalizer(stats.means, stats.stds, stats.constant)
 
 
 @dataclass(frozen=True)

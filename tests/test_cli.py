@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -234,8 +236,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line,key", [
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
-        ("learning_rate: 1e-3", "learning_rate"), ("track: 7", "track"),
-        ("hidden: {a: 1}", "hidden"),
+        ('learning_rate: "fast"', "learning_rate"), ("track: 7", "track"),
+        ("hidden: {a: 1}", "hidden"), ("hidden: [32.7]", "hidden"),
+        ("hidden: [true]", "hidden"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "cfg.yaml"
@@ -246,10 +249,37 @@ class TestConfigFile:
         assert stderr.startswith("error: ") and key in stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("text,value", [
+        ("1e-3", 0.001), ("1E3", 1000.0), ("-2e-1", -0.2), (".5e1", 5.0),
+    ])
+    def test_exponent_floats_load(self, tmp_path, text, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"learning_rate: {text}\n")
+        settings = cli.load_config_file(cfg)
+        assert settings == {"learning_rate": value} and type(settings["learning_rate"]) is float
+        assert cli.RunConfig(**settings).learning_rate == value
+
+    def test_integers_and_strings_stay_what_they_were(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("epochs: 300\nseed: -7\ntrack: e5\nprediction: 1e-3x\n")
+        assert cli.load_config_file(cfg) == {
+            "epochs": 300, "seed": -7, "track": "e5", "prediction": "1e-3x"}
+
     def test_default_config_file_matches_builtin_defaults(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
         settings = cli.load_config_file(path)
         assert cli.RunConfig(**settings) == cli.RunConfig()
+
+    def test_every_flag_names_a_config_field(self):
+        # build_config copies each flag given onto the RunConfig field its
+        # destination names, so a destination outside RunConfig would be lost.
+        parser = cli.build_parser()
+        subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {action.dest
+                 for p in (parser, *(sp for a in subcommands for sp in a.choices.values()))
+                 for action in p._actions}
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert dests - {"config", "out", "help", "command"} <= fields
 
 
 class TestPipeline:

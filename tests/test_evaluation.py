@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from surgenet import evaluation
 from surgenet.dataset import default_oracle, generate_track
 from surgenet.errors import DimensionMismatchError
 from surgenet.evaluation import (
@@ -21,9 +22,8 @@ from surgenet.evaluation import (
     quantile_interval,
     r_per_location,
 )
-from surgenet.network import Architecture, init_network
+from surgenet.network import Architecture, fit_normalizer, init_network
 from surgenet.numerics import Rng
-from surgenet.training import fit_normalizer
 
 
 def make_tracks(n, seed=0):
@@ -272,6 +272,25 @@ class TestEvaluateAndReport:
         assert len(result.window_pdfs) == 10
         assert result.full_pdfs[0].n_samples == 193 * 6
         assert result.window_pdfs[0].n_samples == 49 * 6
+
+    def test_network_runs_once_per_track(self, untrained, monkeypatch):
+        net, normalizer, tracks = untrained
+        calls = []
+
+        def counting(net, normalizer, track):
+            calls.append(track.track_id)
+            return predict_track(net, normalizer, track)
+
+        monkeypatch.setattr(evaluation, "predict_track", counting)
+        evaluate_tracks(net, normalizer, tracks, label="test")
+        assert calls == [t.track_id for t in tracks]
+
+    def test_pools_match_collect_errors(self, result, untrained):
+        net, normalizer, tracks = untrained
+        for pdfs, window_days in ((result.full_pdfs, None), (result.window_pdfs, 0.5)):
+            pooled = collect_errors(net, normalizer, tracks, window_days)
+            for pdf, errors in zip(pdfs, pooled):
+                np.testing.assert_array_equal(pdf.samples, errors)
 
     def test_empty_population_rejected(self, untrained):
         net, normalizer, _ = untrained

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +17,14 @@ from surgenet.network import (
     Architecture,
     CheckpointMeta,
     NetworkParams,
+    Normalizer,
     forward,
     forward_batch,
     init_network,
     load_checkpoint,
-    neuron_budget,
-    param_count,
     save_checkpoint,
 )
 from surgenet.numerics import Rng
-from surgenet.training import Normalizer
 
 
 def small_net(hidden=(4,), activation="tanh", seed=42):
@@ -50,26 +52,20 @@ class TestArchitecture:
         with pytest.raises(ValueError, match="relu"):
             Architecture(6, (4,), 10, activation="relu")
 
+    @pytest.mark.parametrize("hidden", [(32.7,), (True,), (32, 64.0), ("8",)])
+    def test_non_integer_sizes_refused(self, hidden):
+        with pytest.raises(ValueError, match="integers"):
+            Architecture(6, hidden, 10)
 
-class TestParamCount:
-    def test_default_architecture(self):
-        # 6*32+32 + 32*64+64 + 64*10+10 = 224 + 2112 + 650
-        assert param_count(Architecture(6, (32, 64), 10)) == 2986
 
-    def test_minimal(self):
-        assert param_count(Architecture(1, (1,), 1)) == 4
-
-    def test_matches_stored_scalars(self):
-        net = small_net(hidden=(5, 3))
-        scalars = sum(w.size + b.size for w, b in net.layers)
-        assert scalars == param_count(net.arch)
-
-    def test_neuron_budget(self):
-        assert neuron_budget(62_532) == 125  # 324 tracks * 193 rows
-        assert neuron_budget(4) == 1
-        assert neuron_budget(0) == 0
-        with pytest.raises(ValueError):
-            neuron_budget(-1)
+def test_importing_network_leaves_training_unloaded():
+    code = "import sys, surgenet.network; print('surgenet.training' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestInit:
@@ -236,6 +232,14 @@ class TestCheckpoint:
         del payload["normalizer"]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointFormatError, match="normalizer"):
+            load_checkpoint(path)
+
+    def test_non_integer_hidden_size_is_a_format_error(self, saved):
+        *_, path = saved
+        payload = json.loads(path.read_text())
+        payload["arch"]["hidden_sizes"] = [32.7]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match="32.7"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [

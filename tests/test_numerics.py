@@ -7,46 +7,10 @@ from surgenet.errors import DimensionMismatchError
 from surgenet.numerics import (
     ColumnStats,
     Rng,
-    affine,
     column_stats,
-    normal_sample,
     sigmoid_act,
     tanh_act,
 )
-
-
-class TestAffine:
-    def test_zero_weights_pass_through_bias(self):
-        out = affine(np.zeros((2, 3)), [7.0, -1.0, 2.5], [1.0, 2.0])
-        assert out.tolist() == [1.0, 2.0]
-
-    def test_identity(self):
-        out = affine(np.eye(3), [1.0, -1.0, 0.5], np.zeros(3))
-        assert out.tolist() == [1.0, -1.0, 0.5]
-
-    def test_hand_multiplication(self):
-        out = affine([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [0.5, -0.5])
-        assert out.tolist() == [3.5, 6.5]
-
-    def test_dimension_errors_name_the_dimensions(self):
-        with pytest.raises(DimensionMismatchError, match="2 columns.*length 3"):
-            affine(np.zeros((2, 2)), [1.0, 2.0, 3.0], [0.0, 0.0])
-        with pytest.raises(DimensionMismatchError, match="2 rows.*length 3"):
-            affine(np.zeros((2, 2)), [1.0, 2.0], [0.0, 0.0, 0.0])
-
-    def test_rejects_non_2d_weights(self):
-        with pytest.raises(DimensionMismatchError):
-            affine(np.zeros(4), [1.0], [0.0])
-
-    def test_linearity(self):
-        rng = Rng(11)
-        w = rng.normal(size=(5, 4))
-        x = rng.normal(size=4)
-        z = rng.normal(size=4)
-        a, c = 1.7, -0.3
-        lhs = affine(w, a * x + c * z, np.zeros(5))
-        rhs = a * affine(w, x, np.zeros(5)) + c * affine(w, z, np.zeros(5))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestActivations:
@@ -170,9 +134,6 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(1).child(-1)
 
-    def test_seed_path_tracks_derivation(self):
-        assert Rng(7).child(2).child(0).seed_path == (7, 2, 0)
-
     def test_choice_without_replacement(self):
         idx = Rng(5).choice_without_replacement(20, 20)
         assert sorted(idx.tolist()) == list(range(20))
@@ -185,16 +146,18 @@ class TestRng:
 
 
 class TestNormalSample:
+    """Rng.normal, the draw behind every initial weight."""
+
     def test_zero_std_returns_mean_exactly(self):
-        assert normal_sample(Rng(1), 2.75, 0.0) == 2.75
+        assert Rng(1).normal(2.75, 0.0) == 2.75
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            normal_sample(Rng(1), 0.0, -1.0)
+            Rng(1).normal(0.0, -1.0)
 
     def test_same_seed_identical_sequence(self):
-        a = [normal_sample(Rng(77).child(i), 0.0, 1.0) for i in range(20)]
-        b = [normal_sample(Rng(77).child(i), 0.0, 1.0) for i in range(20)]
+        a = [Rng(77).child(i).normal(0.0, 1.0) for i in range(20)]
+        b = [Rng(77).child(i).normal(0.0, 1.0) for i in range(20)]
         assert a == b
 
     def test_large_sample_moments(self):

@@ -7,7 +7,7 @@ import pytest
 
 from surgenet.dataset import DatasetSplit, default_oracle, generate_track
 from surgenet.errors import TrainingDivergedError
-from surgenet.network import Architecture, NetworkParams, init_network
+from surgenet.network import Architecture, NetworkParams, fit_normalizer, init_network
 from surgenet.numerics import Rng
 from surgenet.training import (
     AdamState,
@@ -20,7 +20,6 @@ from surgenet.training import (
     _StepExecutor,
     adam_step,
     backprop,
-    fit_normalizer,
     parallel_gradient,
     sample_batch,
     train,
