@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import dataset, evaluation, training
@@ -244,11 +245,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     out = Path(cfg.prediction)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("tau_days", *dataset.SURGE_COLUMNS))
-        for tau, row in zip(inputs[:, 0], preds):
-            writer.writerow((format(tau, ".17g"), *(format(v, ".17g") for v in row)))
+    with dataset.atomic_write(out) as fh:
+        csv.writer(fh).writerow(("tau_days", *dataset.SURGE_COLUMNS))
+        fh.write(dataset.format_rows(np.hstack([inputs[:, :1], preds]), 17))
     print(f"wrote {out} ({len(preds)} rows)")
     return 0
 

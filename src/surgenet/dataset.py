@@ -8,8 +8,11 @@ storm; ten output columns give the surge height at fixed coastal stations,
 in meters above mean sea level, with no astronomical tide component.
 """
 
+import contextlib
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,45 +146,110 @@ def validate_track(track: StormTrack) -> None:
                 row=r, column=column)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open path for UTF-8 text writing through a temporary sibling.
+
+    The sibling replaces path (os.replace) once the block completes. If the
+    block raises, the sibling is removed and any previous file at path keeps
+    its bytes, so a failed write never leaves a truncated file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # name the target, not the temporary
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_lead(text: str) -> str:
+    """text as the leading field of a CSV line, with its trailing comma,
+    quoted exactly as csv.writer quotes a field that has others after it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the line end, keep the comma
+
+
+def format_rows(block, digits: int, lead: str = "") -> str:
+    """CSV lines for an (n, k) float block, each value written as
+    format(v, f".{digits}g") and each line ended with CR LF, which are the
+    bytes csv.writer writes for those strings.
+
+    One %-format per row does the work: "%.17g" % v equals format(v, ".17g")
+    for every float, nan, inf and -0.0 included. lead (from csv_lead) goes
+    before each line outside the format, so a "%" in it is never a directive.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    line = ",".join([f"%.{digits}g"] * block.shape[1]) + "\r\n"
+    return "".join([lead + line % tuple(row) for row in block.tolist()])
+
+
+@contextlib.contextmanager
+def _csv_reader(path: Path):
+    """A csv.reader over a UTF-8 file; other bytes raise TrackValidationError
+    naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise TrackValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+
+
+def _float_rows(path: Path, reader, header, names) -> np.ndarray:
+    """Parse the reader's remaining rows, each len(header) fields wide, and
+    return the columns called names, in that order, as floats.
+
+    A row is parsed with one float() per field; only when one fails is the
+    row searched for the field to name. Errors name the file, the data row
+    (0-based) and the column.
+    """
+    pick = None if tuple(header) == tuple(names) else [header.index(c) for c in names]
+    values = []
+    for r, fields in enumerate(reader):
+        if len(fields) != len(header):
+            raise ColumnSchemaError(
+                f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
+        if pick is not None:
+            fields = [fields[i] for i in pick]
+        try:
+            values.append(list(map(float, fields)))
+        except ValueError:
+            for field, column in zip(fields, names):
+                try:
+                    float(field)
+                except ValueError:
+                    raise TrackValidationError(
+                        f"{path.name}: unparsable value {field!r}",
+                        row=r, column=column) from None
+    return np.array(values, dtype=np.float64).reshape(len(values), len(names))
+
+
 def save_track_csv(track: StormTrack, path) -> None:
     """Write the 16-column schema; floats carry 17 significant digits so a
     load restores them bit for bit."""
-    data = np.hstack([track.inputs, track.surge])
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in data:
-            writer.writerow([format(v, ".17g") for v in row])
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerow(CSV_COLUMNS)
+        fh.write(format_rows(np.hstack([track.inputs, track.surge]), 17))
 
 
 def load_track_csv(path) -> StormTrack:
     """Parse and validate one storm-track file; track id is the file stem."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ColumnSchemaError(f"{path.name}: empty file") from None
-        if header != CSV_COLUMNS:
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ColumnSchemaError(f"{path.name}: empty file")
+        if tuple(header) != CSV_COLUMNS:
             raise ColumnSchemaError(
-                f"{path.name}: header {header!r} does not match the track schema")
-        values = []
-        for r, fields in enumerate(reader):
-            if len(fields) != len(CSV_COLUMNS):
-                raise ColumnSchemaError(
-                    f"{path.name}: expected {len(CSV_COLUMNS)} fields, got {len(fields)}",
-                    row=r)
-            parsed = []
-            for c, field in enumerate(fields):
-                try:
-                    parsed.append(float(field))
-                except ValueError:
-                    raise TrackValidationError(
-                        f"{path.name}: unparsable value {field!r}",
-                        row=r, column=CSV_COLUMNS[c]) from None
-            values.append(parsed)
-    data = np.asarray(values, dtype=np.float64).reshape(len(values), len(CSV_COLUMNS))
+                f"{path.name}: header {tuple(header)!r} does not match the track schema")
+        data = _float_rows(path, reader, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
     validate_track(track)
     return track
@@ -385,28 +453,17 @@ def read_input_series(path) -> np.ndarray:
     """Read prediction inputs: a CSV with at least the six input columns by
     name; surge and other extra columns are ignored."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ColumnSchemaError(f"{path.name}: empty file") from None
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ColumnSchemaError(f"{path.name}: empty file")
         missing = [c for c in INPUT_COLUMNS if c not in header]
         if missing:
             raise ColumnSchemaError(f"{path.name}: missing input columns {missing}")
-        pick = [header.index(c) for c in INPUT_COLUMNS]
-        rows = []
-        for r, fields in enumerate(reader):
-            if len(fields) != len(header):
-                raise ColumnSchemaError(
-                    f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
-            try:
-                rows.append([float(fields[i]) for i in pick])
-            except ValueError as exc:
-                raise TrackValidationError(f"{path.name}: {exc}", row=r) from None
-    if not rows:
+        rows = _float_rows(path, reader, header, INPUT_COLUMNS)
+    if len(rows) == 0:
         raise RowCountError(f"{path.name}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return rows
 
 
 MANIFEST_NAME = "manifest.csv"
@@ -416,7 +473,7 @@ SPLIT_LABELS = ("train", "val", "test")
 def write_manifest(entries, path) -> None:
     """Write (track_id, file, split) rows; file paths are relative to the
     manifest's directory."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(("track_id", "file", "split"))
         writer.writerows(entries)
@@ -425,8 +482,7 @@ def write_manifest(entries, path) -> None:
 def read_manifest(path) -> list:
     """Read back (track_id, file, split) entries written by write_manifest."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != ["track_id", "file", "split"]:
             raise ColumnSchemaError(f"{path.name}: not a corpus manifest")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
+from .dataset import atomic_write
 from .errors import (
     CheckpointDimensionError,
     CheckpointFormatError,
@@ -146,9 +147,6 @@ class Normalizer:
     def apply(self, inputs) -> np.ndarray:
         return (np.asarray(inputs, dtype=np.float64) - self.means) / self.stds
 
-    def invert(self, normalized) -> np.ndarray:
-        return np.asarray(normalized, dtype=np.float64) * self.stds + self.means
-
 
 def fit_normalizer(inputs) -> Normalizer:
     """Population mean/std per column; constant columns standardize to zero."""
@@ -211,7 +209,8 @@ def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) 
             "final_train_mse": float(meta.final_train_mse),
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def _payload_get(payload, key, context="checkpoint"):

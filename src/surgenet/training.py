@@ -13,10 +13,10 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .dataset import atomic_write
 from .errors import TrainingDivergedError
 from .network import (
     Architecture,
@@ -386,7 +386,7 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
 def write_history(history, path) -> None:
     """Write the per-epoch record as CSV: epoch, lr, train_mse, val_mse."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "lr", "train_mse", "val_mse"))
         for row in history:

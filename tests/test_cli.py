@@ -201,6 +201,15 @@ class TestPredict:
         assert code == 1
         assert "missing input columns" in stderr
 
+    def test_non_utf8_track_named(self, tmp_path, workspace, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"tau_days,lon_deg\n\xff\n")
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
+                              "--track", str(bad), "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert stderr.startswith("error: bad.csv: not UTF-8")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_track_argument_required(self, tmp_path, workspace, capsys):
         code, _, stderr = run(capsys, "predict",
                               "--checkpoint", str(workspace / "model.json"),

@@ -186,6 +186,13 @@ class TestTrackCsv:
         with pytest.raises(ColumnSchemaError, match="empty"):
             load_track_csv(path)
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_track_csv(make_track(), path)
+        path.write_bytes(path.read_bytes().replace(b"-", b"\xff", 1))
+        with pytest.raises(TrackValidationError, match=r"t\.csv: not UTF-8"):
+            load_track_csv(path)
+
 
 class TestSplit:
     def test_sizes_from_the_70_15_15_rule(self):
@@ -450,6 +457,24 @@ class TestReadInputSeries:
         with pytest.raises(RowCountError, match="no data rows"):
             read_input_series(path)
 
+    def test_unparsable_cell_located(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "vmax_ms,tau_days,lon_deg,lat_deg,rmax_km,fspeed_ms,note\n"
+            "30,0.5,-76.0,34.5,50,5,x\n"
+            "30,0.0,-76.2,34.6,fifty,5,y\n")
+        with pytest.raises(TrackValidationError, match=r"in\.csv.*'fifty'") as err:
+            read_input_series(path)
+        assert err.value.row == 1
+        assert err.value.column == "rmax_km"
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"tau_days,lon_deg,lat_deg,rmax_km,vmax_ms,fspeed_ms\n"
+                         b"0.5,-76.0,34.5,50,30,5\xff\n")
+        with pytest.raises(TrackValidationError, match=r"in\.csv: not UTF-8"):
+            read_input_series(path)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -471,6 +496,12 @@ class TestManifest:
                         "track_0001,track_0001.csv,train\n"
                         "track_0002,test\n")
         with pytest.raises(ColumnSchemaError, match=r"manifest\.csv.*3 fields.*row 1"):
+            read_manifest(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"track_id,file,split\ntrack_\xe9,track_0001.csv,train\n")
+        with pytest.raises(TrackValidationError, match=r"manifest\.csv: not UTF-8"):
             read_manifest(path)
 
     def test_unknown_split_label_rejected(self, tmp_path):

@@ -70,10 +70,12 @@ class TestNormalizer:
         assert norm.constant_flags.all()
         np.testing.assert_array_equal(norm.apply([[3.0, 7.0]]), [[0.0, 0.0]])
 
-    def test_round_trip(self):
+    def test_applies_stored_means_and_stds(self):
         data = Rng(1).normal(size=(40, 6)) * 10 + 3
         norm = fit_normalizer(data)
-        np.testing.assert_allclose(norm.invert(norm.apply(data)), data, atol=1e-12)
+        np.testing.assert_allclose(norm.means, data.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(norm.stds, data.std(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(norm.apply(data), (data - norm.means) / norm.stds)
 
     def test_standardizes_training_data(self):
         data = Rng(2).uniform(-5, 5, size=(100, 4))
