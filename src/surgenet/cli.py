@@ -143,7 +143,11 @@ _ConfigLoader.add_implicit_resolver(
 def load_config_file(path) -> dict:
     """Parse a YAML config file, rejecting unknown keys."""
     try:
-        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_ConfigLoader)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+    try:
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"unparsable config {path}: {exc}") from None
     if raw is None:

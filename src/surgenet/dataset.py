@@ -136,14 +136,21 @@ def validate_track(track: StormTrack) -> None:
             f"tau must count down from +3 to -1 in 1/48 steps; got {track.tau[r]!r}",
             row=r, column="tau_days")
 
+    _check_input_ranges(track.inputs)
+
+
+def _check_input_ranges(inputs: np.ndarray, where: str = "") -> None:
+    """Check the physical ranges of (n, 6) input rows: rmax_km > 0, vmax_ms >= 0
+    and fspeed_ms >= 0. The first violation raises FieldRangeError naming its
+    row and column; where, if given, prefixes the message."""
     for column, lo in (("rmax_km", True), ("vmax_ms", False), ("fspeed_ms", False)):
-        vals = track.inputs[:, INPUT_COLUMNS.index(column)]
+        vals = inputs[:, INPUT_COLUMNS.index(column)]
         bad = vals <= 0 if lo else vals < 0
         if bad.any():
             r = int(np.argmax(bad))
-            raise FieldRangeError(
-                f"{column} must be {'> 0' if lo else '>= 0'}, got {vals[r]!r}",
-                row=r, column=column)
+            bound = "> 0" if lo else ">= 0"
+            raise FieldRangeError(f"{where}{column} must be {bound}, got {float(vals[r])!r}",
+                                  row=r, column=column)
 
 
 @contextlib.contextmanager
@@ -451,7 +458,8 @@ def interpolate_to_grid(raw_inputs) -> np.ndarray:
 
 def read_input_series(path) -> np.ndarray:
     """Read prediction inputs: a CSV with at least the six input columns by
-    name; surge and other extra columns are ignored."""
+    name; surge and other extra columns are ignored. Rows must pass
+    _check_input_ranges."""
     path = Path(path)
     with _csv_reader(path) as reader:
         header = next(reader, None)
@@ -463,6 +471,7 @@ def read_input_series(path) -> np.ndarray:
         rows = _float_rows(path, reader, header, INPUT_COLUMNS)
     if len(rows) == 0:
         raise RowCountError(f"{path.name}: no data rows")
+    _check_input_ranges(rows, f"{path.name}: ")
     return rows
 
 
@@ -493,7 +502,8 @@ def read_manifest(path) -> list:
                     f"{path.name}: expected 3 fields, got {len(fields)}", row=r)
             track_id, file, split = fields
             if split not in SPLIT_LABELS:
-                raise ValueError(f"{path.name}: unknown split label {split!r}")
+                raise ColumnSchemaError(
+                    f"{path.name}: unknown split label {split!r}", row=r, column="split")
             entries.append((track_id, file, split))
     return entries
 

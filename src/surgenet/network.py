@@ -76,18 +76,6 @@ class NetworkParams:
         return NetworkParams(self.arch, [(w.copy(), b.copy()) for w, b in self.layers])
 
 
-def _check_layer_shapes(arch: Architecture, layers) -> None:
-    dims = arch.layer_dims()
-    if len(layers) != len(dims):
-        raise DimensionMismatchError(
-            f"architecture has {len(dims)} layers but {len(layers)} were given")
-    for i, ((w, b), (rows, cols)) in enumerate(zip(layers, dims)):
-        if w.shape != (rows, cols) or b.shape != (rows,):
-            raise DimensionMismatchError(
-                f"layer {i}: expected weights {(rows, cols)} and bias {(rows,)}, "
-                f"got {w.shape} and {b.shape}")
-
-
 def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
     """Fresh parameters: weights ~ Normal(0, 1/sqrt(fan_in)), biases zero."""
     layers = []
@@ -232,7 +220,11 @@ def _meta_number(raw_meta, key, kind):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint, validating version,
     structure, dimensions, and finiteness."""
-    text = Path(path).read_text(encoding="utf-8")
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     try:
         payload = json.loads(text)
     except ValueError as exc:

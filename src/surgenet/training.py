@@ -10,7 +10,6 @@ rounding, so worker count never changes what is learned.
 
 import csv
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,7 +91,7 @@ class AdamState:
 
 
 class _StepBuffers:
-    """One thread's scratch arrays for training steps of up to `rows` batch
+    """One shard's scratch arrays for training steps of up to `rows` batch
     rows: each layer's output (the output layer's then holds diff and then
     delta), the squared errors, and each hidden layer's delta."""
 
@@ -232,61 +231,51 @@ def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
 
 
 class _StepExecutor:
-    """What the training steps of one train() call reuse: the batch gather
-    buffers, the thread pool that shards run on (workers > 1), and one
-    _StepBuffers per thread that runs steps, made on its first step.
+    """What every training step over a batch of n_rows rows reuses: the
+    shard bounds, one _StepBuffers per shard, sized to it, and, when there is
+    more than one shard, the thread pool the shards run on.
 
-    Nothing here outlives the train() call that owns it.
+    Nothing here outlives the call that owns it: train() or one
+    _parallel_loss_grads().
     """
 
-    def __init__(self, arch: Architecture, batch_tracks: int, rows_per_track: int,
-                 workers: int):
-        self.batch = (np.empty((batch_tracks, rows_per_track, arch.input_dim)),
-                      np.empty((batch_tracks, rows_per_track, arch.output_dim)))
-        n_rows = batch_tracks * rows_per_track
-        self._arch = arch
-        self._rows = -(-n_rows // min(workers, n_rows))  # the largest shard
-        self._local = threading.local()
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def buffers(self) -> _StepBuffers:
-        """The calling thread's step buffers."""
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = self._local.buffers = _StepBuffers(self._arch, self._rows)
-        return buffers
-
-    def map(self, fn, jobs):
-        return self._pool.map(fn, jobs)
+    def __init__(self, arch: Architecture, n_rows: int, workers: int):
+        self.bounds = _shard_bounds(n_rows, workers)
+        self.buffers = [_StepBuffers(arch, hi - lo) for lo, hi in self.bounds]
+        shards = len(self.bounds)
+        self.pool = ThreadPoolExecutor(max_workers=shards) if shards > 1 else None
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
     """Mean loss and gradient of a batch whose rows are sharded across workers.
 
-    executor is the _StepExecutor of a train() call: shards run on its pool
-    and each step reuses its thread's buffers. Without one, shards run on a
-    pool made for this call, and each step allocates its own buffers.
+    executor is the _StepExecutor of a train() call, made for x's row count
+    and workers; without one, a call-scoped one is made and shut down. A
+    single shard runs on the calling thread; more run on the pool.
     """
     n_rows = x.shape[0]
     if n_rows == 0:
         raise ValueError("cannot compute gradients for an empty batch")
-    if workers <= 1 or n_rows == 1:
-        return _batch_backprop(net, x, t, None if executor is None else executor.buffers())
-    bounds = _shard_bounds(n_rows, workers)
-    jobs = [(x[lo:hi], t[lo:hi]) for lo, hi in bounds]
-    # Workers only read net; results are reduced in shard order regardless of
-    # completion order, so scheduling cannot change the outcome.
-    if executor is None:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(lambda job: _batch_backprop(net, *job), jobs))
-    else:
-        results = list(executor.map(
-            lambda job: _batch_backprop(net, *job, executor.buffers()), jobs))
-    return _weighted_mean_grads(results, bounds, n_rows)
+    owned = executor is None
+    if owned:
+        executor = _StepExecutor(net.arch, n_rows, workers)
+    try:
+        bounds = executor.bounds
+        if len(bounds) == 1:
+            return _batch_backprop(net, x, t, executor.buffers[0])
+        # Workers only read net; results are reduced in shard order regardless
+        # of completion order, so scheduling cannot change the outcome.
+        jobs = [(x[lo:hi], t[lo:hi], buffers)
+                for (lo, hi), buffers in zip(bounds, executor.buffers)]
+        results = list(executor.pool.map(lambda job: _batch_backprop(net, *job), jobs))
+        return _weighted_mean_grads(results, bounds, n_rows)
+    finally:
+        if owned:
+            executor.shutdown()
 
 
 def parallel_gradient(net: NetworkParams, batch: tuple, workers: int) -> GradientSet:
@@ -354,11 +343,12 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
     history = []
     best = None  # (val_mse, params copy, epoch, train_mse)
-    executor = _StepExecutor(cfg.arch, cfg.batch_tracks, data[0].shape[1], cfg.workers)
+    gathered = tuple(np.empty((cfg.batch_tracks, *part.shape[1:])) for part in data)
+    executor = _StepExecutor(cfg.arch, cfg.batch_tracks * data[0].shape[1], cfg.workers)
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
-            x, t = sample_batch(batch_rng, data, cfg.batch_tracks, out=executor.batch)
+            x, t = sample_batch(batch_rng, data, cfg.batch_tracks, out=gathered)
             loss, grads = _parallel_loss_grads(net, x, t, cfg.workers, executor)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")

@@ -210,6 +210,31 @@ class TestPredict:
         assert stderr.startswith("error: bad.csv: not UTF-8")
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("column,value", [
+        ("rmax_km", "-5"), ("vmax_ms", "-1"), ("fspeed_ms", "-0.5")])
+    def test_impossible_inputs_refused(self, tmp_path, workspace, capsys, column, value):
+        columns = ["tau_days", "lon_deg", "lat_deg", "rmax_km", "vmax_ms", "fspeed_ms"]
+        rows = [["3.0", "-74.0", "33.0", "50", "30", "5"],
+                ["0.0", "-76.5", "34.8", "50", "30", "5"]]
+        rows[1][columns.index(column)] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in [columns, *rows]) + "\n")
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
+                              "--track", str(bad), "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert stderr.startswith(f"error: bad.csv: {column} must be")
+        assert f"got {float(value)!r} | row 1 | column '{column}'" in stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_non_utf8_checkpoint_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xff"}')
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(bad),
+                              "--track", str(tmp_path / "in.csv"),
+                              "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert stderr.startswith("error: bad.json: not UTF-8")
+
     def test_track_argument_required(self, tmp_path, workspace, capsys):
         code, _, stderr = run(capsys, "predict",
                               "--checkpoint", str(workspace / "model.json"),
@@ -242,6 +267,14 @@ class TestConfigFile:
                               "--out", str(tmp_path / "c"))
         assert code == 1
         assert "unparsable config" in stderr
+
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(b"seed: 7\n\xff\n")
+        code, _, stderr = run(capsys, "generate", "--config", str(cfg),
+                              "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert stderr.startswith(f"error: config {cfg}: not UTF-8")
 
     @pytest.mark.parametrize("line,key", [
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),

@@ -506,8 +506,11 @@ class TestManifest:
 
     def test_unknown_split_label_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
-        path.write_text("track_id,file,split\ntrack_0001,track_0001.csv,holdout\n")
-        with pytest.raises(ValueError, match="holdout"):
+        path.write_text("track_id,file,split\n"
+                        "track_0001,track_0001.csv,train\n"
+                        "track_0002,track_0002.csv,holdout\n")
+        with pytest.raises(ColumnSchemaError,
+                           match=r"manifest\.csv: unknown split label 'holdout'.*row 1"):
             read_manifest(path)
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,14 @@ class TestParallelGradient:
         with pytest.raises(ValueError, match="empty"):
             parallel_gradient(net, (np.empty((0, 6)), np.empty((0, 10))), 2)
 
+    def test_call_scoped_pool_is_shut_down(self):
+        net = init_network(Architecture(6, (4,), 10), Rng(25))
+        x = Rng(26).normal(size=(20, 6))
+        t = Rng(27).normal(size=(20, 10))
+        threads = threading.active_count()
+        parallel_gradient(net, (x, t), 2)
+        assert threading.active_count() == threads
+
     def test_worker_count_validated(self):
         net = init_network(Architecture(6, (4,), 10), Rng(24))
         with pytest.raises(ValueError, match=">= 1"):
@@ -494,11 +503,12 @@ class TestBufferedStep:
             assert_same_grads(parallel_gradient(net, (x, t), workers).layers, expected)
             assert _parallel_loss_grads(net, x, t, workers)[0] == expected_loss
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    # workers = 4 splits the 579 rows into shards of 145, 145, 145 and 144.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_reused_buffers_never_leak_into_results(self, workers):
         arch = Architecture(6, (32, 64), 10)
         net = init_network(arch, Rng(32))
-        executor = _StepExecutor(arch, 3, 193, workers)
+        executor = _StepExecutor(arch, 3 * 193, workers)
         try:
             first = random_batch(arch, 3, 33)
             second = random_batch(arch, 3, 35, scale=5.0)
@@ -536,19 +546,21 @@ class TestBufferedStep:
 
 
 class TestStepAllocation:
-    def test_warm_default_step_allocates_under_1mb(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_default_step_allocates_under_1mb(self, workers):
         # The allocating step took about 15.7 MB of temporaries per call at
         # these shapes; the buffered one allocates only the returned
-        # gradients and the optimizer's new parameters.
+        # gradients, the shard results and the optimizer's new parameters.
         arch = Architecture(6, (32, 64), 10)
         cfg = TrainConfig(arch=arch, epochs=1)
         data = (Rng(40).normal(size=(40, 193, 6)), Rng(41).normal(size=(40, 193, 10)))
+        gathered = (np.empty((32, 193, 6)), np.empty((32, 193, 10)))
         batch_rng = Rng(42)
-        executor = _StepExecutor(arch, 32, 193, 1)
+        executor = _StepExecutor(arch, 32 * 193, workers)
 
         def step(net, state):
-            x, t = sample_batch(batch_rng, data, 32, out=executor.batch)
-            _, grads = _parallel_loss_grads(net, x, t, 1, executor)
+            x, t = sample_batch(batch_rng, data, 32, out=gathered)
+            _, grads = _parallel_loss_grads(net, x, t, workers, executor)
             return adam_step(net, grads, state, cfg.learning_rate, cfg)
 
         net = init_network(arch, Rng(43))
