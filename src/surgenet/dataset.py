@@ -110,33 +110,39 @@ class StormTrack:
         return self.inputs[:, 0]
 
 
-def validate_track(track: StormTrack) -> None:
-    """Check shape, the tau grid, finiteness, and physical field ranges."""
+def validate_track(track: StormTrack, where: str = "") -> None:
+    """Check shape, the tau grid, finiteness, and physical field ranges.
+
+    where, if given (e.g. "track_0001.csv: "), prefixes every error message.
+    """
     if track.inputs.ndim != 2 or track.inputs.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"inputs must have {len(INPUT_COLUMNS)} columns, got shape {track.inputs.shape}")
+            f"{where}inputs must have {len(INPUT_COLUMNS)} columns, "
+            f"got shape {track.inputs.shape}")
     if track.surge.ndim != 2 or track.surge.shape[1] != N_STATIONS:
         raise ColumnSchemaError(
-            f"surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
+            f"{where}surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
     if track.inputs.shape[0] != N_ROWS or track.surge.shape[0] != N_ROWS:
         raise RowCountError(
-            f"track {track.track_id!r} has {track.inputs.shape[0]} rows, expected {N_ROWS}")
+            f"{where}track {track.track_id!r} has {track.inputs.shape[0]} rows, "
+            f"expected {N_ROWS}")
 
     for block, names in ((track.inputs, INPUT_COLUMNS), (track.surge, SURGE_COLUMNS)):
         finite = np.isfinite(block)
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
-            raise NonFiniteValueError("non-finite value", row=int(r), column=names[c])
+            raise NonFiniteValueError(f"{where}non-finite value", row=int(r), column=names[c])
 
     expected_tau = tau_grid()
     off = np.abs(track.tau - expected_tau) > 1e-9
     if off.any():
         r = int(np.argmax(off))
         raise TauGridError(
-            f"tau must count down from +3 to -1 in 1/48 steps; got {track.tau[r]!r}",
+            f"{where}tau must count down from +3 to -1 in 1/48 steps; "
+            f"got {float(track.tau[r])!r}",
             row=r, column="tau_days")
 
-    _check_input_ranges(track.inputs)
+    _check_input_ranges(track.inputs, where)
 
 
 def _check_input_ranges(inputs: np.ndarray, where: str = "") -> None:
@@ -258,7 +264,7 @@ def load_track_csv(path) -> StormTrack:
                 f"{path.name}: header {tuple(header)!r} does not match the track schema")
         data = _float_rows(path, reader, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
-    validate_track(track)
+    validate_track(track, f"{path.name}: ")
     return track
 
 

@@ -1,14 +1,14 @@
 """Training loop: exact backpropagation, the adaptive-moment optimizer,
 whole-track batch sampling, and synchronous multi-worker gradient averaging.
 
-One epoch = draw a batch of whole tracks, shard its rows across workers,
-average the shard gradients (weighted by shard size, reduced in a fixed
-order), and apply a single optimizer update at the decayed learning rate.
-The averaged gradient is identical to the single-worker gradient up to float
-rounding, so worker count never changes what is learned.
+One epoch = draw a batch of whole tracks, cut its rows into contiguous shards
+of at most TILE_ROWS rows, average the shard gradients (weighted by shard
+size, reduced in shard order), and apply a single optimizer update at the
+decayed learning rate. The shards depend on the batch's row count alone;
+workers only sets how many threads run them, so worker count never changes
+a single bit of what is learned.
 """
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +30,14 @@ from .numerics import Rng
 
 DEFAULT_SEED = 20170324
 
+# The most rows one shard of a training step holds. A shard's layer outputs
+# and deltas then stay near the size of a core's L2 cache (2 MB on the VM
+# below); a whole default batch's take about 10 MB. The default 6176-row
+# batch runs as 4 shards of 1544 rows. On one thread of a 2-vCPU
+# Xeon VM, the median of 5 interleaved 200-epoch runs was 10.4 ms/epoch for
+# 1 shard, 9.0-9.3 ms for 2, 4, 6 or 8 shards and 9.9 ms for 12.
+TILE_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -43,7 +51,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    workers: int = 1
+    workers: int = 1  # threads that run a step's shards; never changes the result
     seed: int = DEFAULT_SEED
     validation_every: int = 100  # 0 disables validation and best-checkpoint selection
 
@@ -93,13 +101,15 @@ class AdamState:
 class _StepBuffers:
     """One shard's scratch arrays for training steps of up to `rows` batch
     rows: each layer's output (the output layer's then holds diff and then
-    delta), the squared errors, and each hidden layer's delta."""
+    delta), the squared errors, each hidden layer's delta, and the ones that
+    sum a delta's rows into a bias gradient."""
 
     def __init__(self, arch: Architecture, rows: int):
         sizes = [r for r, _ in arch.layer_dims()]
         self.outputs = [np.empty((rows, s)) for s in sizes]
         self.squares = np.empty((rows, arch.output_dim))
         self.deltas = [np.empty((rows, s)) for s in sizes[:-1]]
+        self.ones = np.ones(rows)
 
 
 def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None:
@@ -133,9 +143,13 @@ def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
 
     acts = [x, *hidden]  # input to each layer
     delta = np.multiply(diff, 2.0 / (n * k), out=diff)
+    ones = buffers.ones[:n]
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        # The bias gradient is the column sum of delta, taken as a BLAS
+        # product: delta.sum(axis=0) reduces row by row and is several times
+        # slower at these shapes.
+        grads[i] = (delta.T @ acts[i], ones @ delta)
         if i > 0:
             # This layer's input is no longer needed, so its slope replaces it.
             w, _ = net.layers[i]
@@ -201,9 +215,9 @@ def sample_batch(rng: Rng, data: tuple, batch_tracks: int, out=None) -> tuple:
     return x.reshape(-1, x.shape[-1]), t.reshape(-1, t.shape[-1])
 
 
-def _shard_bounds(n_rows: int, workers: int) -> list:
+def _shard_bounds(n_rows: int, shards: int) -> list:
     """Contiguous near-equal shards; the first n % w shards get one extra row."""
-    w = min(workers, n_rows)
+    w = min(shards, n_rows)
     base, extra = divmod(n_rows, w)
     bounds, lo = [], 0
     for i in range(w):
@@ -211,6 +225,11 @@ def _shard_bounds(n_rows: int, workers: int) -> list:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _tile_bounds(n_rows: int, most: int) -> list:
+    """The fewest contiguous near-equal shards of at most `most` rows each."""
+    return _shard_bounds(n_rows, -(-n_rows // most))
 
 
 def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
@@ -232,18 +251,19 @@ def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
 
 class _StepExecutor:
     """What every training step over a batch of n_rows rows reuses: the
-    shard bounds, one _StepBuffers per shard, sized to it, and, when there is
-    more than one shard, the thread pool the shards run on.
+    shard bounds, which depend on n_rows alone, one _StepBuffers per shard,
+    sized to it, and, when more than one worker gets a shard, the thread
+    pool of min(workers, shards) threads that runs them.
 
     Nothing here outlives the call that owns it: train() or one
     _parallel_loss_grads().
     """
 
     def __init__(self, arch: Architecture, n_rows: int, workers: int):
-        self.bounds = _shard_bounds(n_rows, workers)
+        self.bounds = _tile_bounds(n_rows, TILE_ROWS)
         self.buffers = [_StepBuffers(arch, hi - lo) for lo, hi in self.bounds]
-        shards = len(self.bounds)
-        self.pool = ThreadPoolExecutor(max_workers=shards) if shards > 1 else None
+        threads = min(workers, len(self.bounds))
+        self.pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def shutdown(self) -> None:
         if self.pool is not None:
@@ -251,11 +271,12 @@ class _StepExecutor:
 
 
 def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
-    """Mean loss and gradient of a batch whose rows are sharded across workers.
+    """Mean loss and gradient of a batch, computed shard by shard.
 
     executor is the _StepExecutor of a train() call, made for x's row count
-    and workers; without one, a call-scoped one is made and shut down. A
-    single shard runs on the calling thread; more run on the pool.
+    and workers; without one, a call-scoped one is made and shut down.
+    Without a pool (one worker or one shard) the shards run in order on the
+    calling thread; with one they run on its threads.
     """
     n_rows = x.shape[0]
     if n_rows == 0:
@@ -264,24 +285,23 @@ def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
     if owned:
         executor = _StepExecutor(net.arch, n_rows, workers)
     try:
-        bounds = executor.bounds
-        if len(bounds) == 1:
-            return _batch_backprop(net, x, t, executor.buffers[0])
-        # Workers only read net; results are reduced in shard order regardless
-        # of completion order, so scheduling cannot change the outcome.
+        # Shards only read net; results are reduced in shard order regardless
+        # of completion order, so neither scheduling nor the thread count can
+        # change the outcome.
         jobs = [(x[lo:hi], t[lo:hi], buffers)
-                for (lo, hi), buffers in zip(bounds, executor.buffers)]
-        results = list(executor.pool.map(lambda job: _batch_backprop(net, *job), jobs))
-        return _weighted_mean_grads(results, bounds, n_rows)
+                for (lo, hi), buffers in zip(executor.bounds, executor.buffers)]
+        mapper = map if executor.pool is None else executor.pool.map
+        results = list(mapper(lambda job: _batch_backprop(net, *job), jobs))
+        return _weighted_mean_grads(results, executor.bounds, n_rows)
     finally:
         if owned:
             executor.shutdown()
 
 
 def parallel_gradient(net: NetworkParams, batch: tuple, workers: int) -> GradientSet:
-    """Mean gradient of a batch computed by sharding rows across workers.
+    """Mean gradient of a batch whose shards run on `workers` threads.
 
-    Equals the single-worker mean gradient up to float rounding.
+    Bit for bit the same for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -302,10 +322,23 @@ class HistoryRow:
     val_mse: float | None
 
 
-def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray) -> float:
-    outputs, _ = forward_batch(net, x)
-    diff = np.subtract(outputs, t, out=outputs)
-    return float((diff * diff).sum() / diff.size)
+def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray,
+                 buffers: _StepBuffers | None = None) -> float:
+    """Mean squared error over all rows and outputs of (x, t).
+
+    The rows run forward in tiles as large as buffers holds (or TILE_ROWS
+    rows, without buffers), each into buffers, and the tiles' sums of
+    squares are added in tile order.
+    """
+    if buffers is None:
+        buffers = _StepBuffers(net.arch, min(len(x), TILE_ROWS))
+    total = 0.0
+    for lo, hi in _tile_bounds(len(x), len(buffers.squares)):
+        n = hi - lo
+        outputs, _ = forward_batch(net, x[lo:hi], [z[:n] for z in buffers.outputs])
+        diff = np.subtract(outputs, t[lo:hi], out=outputs)
+        total += float(np.multiply(diff, diff, out=buffers.squares[:n]).sum())
+    return total / t.size
 
 
 def train(cfg: TrainConfig, split, progress=None) -> tuple:
@@ -356,7 +389,7 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
             val = None
             if val_x is not None and (epoch % cfg.validation_every == 0 or epoch == cfg.epochs):
-                val = _dataset_mse(net, val_x, val_t)
+                val = _dataset_mse(net, val_x, val_t, executor.buffers[0])
                 if best is None or val < best[0]:
                     best = (val, net.copy(), epoch, loss)
             row = HistoryRow(epoch, lr, loss, val)
@@ -375,14 +408,18 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
 
 def write_history(history, path) -> None:
-    """Write the per-epoch record as CSV: epoch, lr, train_mse, val_mse."""
+    """Write the per-epoch record as CSV: epoch, lr, train_mse, val_mse.
+
+    Each line is one %-format, as in dataset.format_rows: "%.17g" % v writes
+    the bytes of format(v, ".17g") and "%d" those csv.writer writes for an
+    int. Epochs off the validation interval take the template whose val_mse
+    field is blank.
+    """
+    with_val = "%d,%.17g,%.17g,%.17g\r\n"
+    without_val = "%d,%.17g,%.17g,\r\n"
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "lr", "train_mse", "val_mse"))
-        for row in history:
-            writer.writerow((
-                row.epoch,
-                format(row.lr, ".17g"),
-                format(row.train_mse, ".17g"),
-                "" if row.val_mse is None else format(row.val_mse, ".17g"),
-            ))
+        fh.write("epoch,lr,train_mse,val_mse\r\n")
+        fh.write("".join([
+            without_val % (row.epoch, row.lr, row.train_mse) if row.val_mse is None
+            else with_val % (row.epoch, row.lr, row.train_mse, row.val_mse)
+            for row in history]))

@@ -2,8 +2,8 @@
 write every artifact goes through.
 
 The reference writers below are the csv.writer + format() loops that wrote
-track files, report time series, metrics tables and predictions before each
-float block was formatted one row at a time. They are kept here as the
+track files, report time series, metrics tables, predictions and training
+histories before each was formatted one row at a time. They are kept here as the
 specification of those files' bytes.
 """
 
@@ -111,6 +111,19 @@ def reference_prediction(inputs, preds, path):
             writer.writerow((format(tau, ".17g"), *(format(v, ".17g") for v in row)))
 
 
+def reference_history(history, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("epoch", "lr", "train_mse", "val_mse"))
+        for row in history:
+            writer.writerow((
+                row.epoch,
+                format(row.lr, ".17g"),
+                format(row.train_mse, ".17g"),
+                "" if row.val_mse is None else format(row.val_mse, ".17g"),
+            ))
+
+
 # -- strategies ---------------------------------------------------------------
 
 # Values whose text is easy to get wrong: signed zero, the smallest subnormal
@@ -211,6 +224,18 @@ class TestReportBytes:
         buf = io.StringIO()
         csv.writer(buf).writerow((track_id, "1"))
         assert dataset.csv_lead(track_id) + "1\r\n" == buf.getvalue()
+
+
+class TestHistoryBytes:
+    @SETTINGS
+    @given(rows=st.lists(st.tuples(st.integers(1, 10**9), values(), values(),
+                                   st.one_of(st.none(), values())), max_size=12))
+    def test_matches_reference(self, tmp_path_factory, rows):
+        history = [training.HistoryRow(*row) for row in rows]
+        tmp = tmp_path_factory.mktemp("history")
+        training.write_history(history, tmp / "new.csv")
+        reference_history(history, tmp / "ref.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

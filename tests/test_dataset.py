@@ -193,6 +193,28 @@ class TestTrackCsv:
         with pytest.raises(TrackValidationError, match=r"t\.csv: not UTF-8"):
             load_track_csv(path)
 
+    def edited_track(self, tmp_path, row, col, value):
+        """track_0001.csv saved with one data cell replaced."""
+        inputs = make_track().inputs.copy()
+        inputs[row, col] = value
+        path = tmp_path / "track_0001.csv"
+        save_track_csv(StormTrack("track_0001", inputs, make_track().surge), path)
+        return path
+
+    def test_range_error_names_file(self, tmp_path):
+        path = self.edited_track(tmp_path, 3, 3, -5.0)
+        with pytest.raises(FieldRangeError) as err:
+            load_track_csv(path)
+        assert str(err.value) == ("track_0001.csv: rmax_km must be > 0, got -5.0"
+                                  " | row 3 | column 'rmax_km'")
+
+    def test_tau_error_names_file_and_prints_plain_float(self, tmp_path):
+        path = self.edited_track(tmp_path, 5, 0, 2.5)
+        with pytest.raises(TauGridError) as err:
+            load_track_csv(path)
+        assert str(err.value) == ("track_0001.csv: tau must count down from +3 to -1"
+                                  " in 1/48 steps; got 2.5 | row 5 | column 'tau_days'")
+
 
 class TestSplit:
     def test_sizes_from_the_70_15_15_rule(self):

@@ -8,13 +8,21 @@ import pytest
 
 from surgenet.dataset import DatasetSplit, default_oracle, generate_track
 from surgenet.errors import TrainingDivergedError
-from surgenet.network import Architecture, NetworkParams, fit_normalizer, init_network
+from surgenet.network import (
+    Architecture,
+    NetworkParams,
+    fit_normalizer,
+    forward_batch,
+    init_network,
+)
 from surgenet.numerics import Rng
 from surgenet.training import (
+    TILE_ROWS,
     AdamState,
     GradientSet,
     TrainConfig,
     _batch_backprop,
+    _dataset_mse,
     _parallel_loss_grads,
     _shard_bounds,
     _StepBuffers,
@@ -241,13 +249,14 @@ class TestSharding:
 
 class TestParallelGradient:
     def test_matches_single_worker(self):
+        # 13 tracks' rows make 2 shards, so more than one worker uses a pool.
         net = init_network(Architecture(6, (8, 8), 10), Rng(20))
-        x = Rng(21).normal(size=(193, 6))
-        t = Rng(22).normal(size=(193, 10))
+        x = Rng(21).normal(size=(13 * 193, 6))
+        t = Rng(22).normal(size=(13 * 193, 10))
         ref = parallel_gradient(net, (x, t), 1)
         for workers in (2, 3, 4, 8):
             got = parallel_gradient(net, (x, t), workers)
-            assert max_layer_diff(ref.layers, got.layers) <= 1e-12
+            assert max_layer_diff(ref.layers, got.layers) == 0.0
 
     def test_empty_batch_rejected(self):
         net = init_network(Architecture(6, (4,), 10), Rng(23))
@@ -256,8 +265,8 @@ class TestParallelGradient:
 
     def test_call_scoped_pool_is_shut_down(self):
         net = init_network(Architecture(6, (4,), 10), Rng(25))
-        x = Rng(26).normal(size=(20, 6))
-        t = Rng(27).normal(size=(20, 10))
+        x = Rng(26).normal(size=(TILE_ROWS + 1, 6))  # 2 shards, so a pool is made
+        t = Rng(27).normal(size=(TILE_ROWS + 1, 10))
         threads = threading.active_count()
         parallel_gradient(net, (x, t), 2)
         assert threading.active_count() == threads
@@ -324,7 +333,6 @@ class TestTrain:
         best_val, best_epoch = min(recorded)
         assert ck.meta.epochs_trained == best_epoch
         # Re-evaluating the stored parameters reproduces the recorded minimum.
-        from surgenet.training import _dataset_mse
         val_x = ck.normalizer.apply(np.concatenate([t.inputs for t in split.validation]))
         val_t = np.concatenate([t.surge for t in split.validation])
         assert math.isclose(_dataset_mse(ck.net, val_x, val_t), best_val, rel_tol=1e-12)
@@ -394,7 +402,9 @@ class TestWriteHistory:
 
 # The allocation-heavy training step that the buffered one replaced, kept as
 # the reference it must match bit for bit: fresh arrays for every layer
-# output, activation, slope and delta.
+# output, activation, slope and delta. Bias gradients are the product of a
+# ones vector with delta, and the batch runs as the fewest near-equal
+# contiguous shards of at most TILE_ROWS rows, as in the buffered step.
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 _ZERO_ABOVE = np.nextafter(0.0, 1.0)
 
@@ -433,7 +443,7 @@ def _reference_step(net, x, t):
     delta = diff * (2.0 / (n * k))
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        grads[i] = (delta.T @ acts[i], np.ones(n) @ delta)
         if i > 0:
             w, _ = net.layers[i]
             h = hidden[i - 1]
@@ -442,12 +452,12 @@ def _reference_step(net, x, t):
     return loss, grads
 
 
-def _reference_loss_grads(net, x, t, workers):
-    """The reference step over shards, reduced in shard order by shard size."""
-    if workers <= 1:
-        return _reference_step(net, x, t)
+def _reference_loss_grads(net, x, t):
+    """The reference step over the fixed shards, reduced in shard order by
+    shard size; the same for every worker count."""
     loss, acc = 0.0, None
-    for lo, hi in _shard_bounds(len(x), workers):
+    shards = -(-len(x) // TILE_ROWS)
+    for lo, hi in _shard_bounds(len(x), shards):
         shard_loss, shard_grads = _reference_step(net, x[lo:hi], t[lo:hi])
         w = hi - lo
         loss += w * shard_loss
@@ -498,20 +508,22 @@ class TestBufferedStep:
         assert loss == ref_loss
         assert_same_grads(grads.layers, ref_grads)
 
+        expected_loss, expected = _reference_loss_grads(net, x, t)
         for workers in (1, 2):
-            expected_loss, expected = _reference_loss_grads(net, x, t, workers)
             assert_same_grads(parallel_gradient(net, (x, t), workers).layers, expected)
             assert _parallel_loss_grads(net, x, t, workers)[0] == expected_loss
 
-    # workers = 4 splits the 579 rows into shards of 145, 145, 145 and 144.
+    # 23 tracks are 4439 rows: shards of 1480, 1480 and 1479 rows, run on 1,
+    # 2 and 3 threads.
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_reused_buffers_never_leak_into_results(self, workers):
         arch = Architecture(6, (32, 64), 10)
         net = init_network(arch, Rng(32))
-        executor = _StepExecutor(arch, 3 * 193, workers)
+        executor = _StepExecutor(arch, 23 * 193, workers)
+        assert [hi - lo for lo, hi in executor.bounds] == [1480, 1480, 1479]
         try:
-            first = random_batch(arch, 3, 33)
-            second = random_batch(arch, 3, 35, scale=5.0)
+            first = random_batch(arch, 23, 33)
+            second = random_batch(arch, 23, 35, scale=5.0)
             loss1, grads1 = _parallel_loss_grads(net, *first, workers, executor)
             kept = [(gw.copy(), gb.copy()) for gw, gb in grads1.layers]
             loss2, grads2 = _parallel_loss_grads(net, *second, workers, executor)
@@ -519,7 +531,7 @@ class TestBufferedStep:
             executor.shutdown()
         assert_same_grads(grads1.layers, kept)
         for (loss, grads), batch in (((loss1, grads1), first), ((loss2, grads2), second)):
-            expected_loss, expected = _reference_loss_grads(net, *batch, workers)
+            expected_loss, expected = _reference_loss_grads(net, *batch)
             assert loss == expected_loss
             assert_same_grads(grads.layers, expected)
 
@@ -539,10 +551,51 @@ class TestBufferedStep:
             idx = batch_rng.choice_without_replacement(len(tracks), cfg.batch_tracks)
             x = np.concatenate([norm.apply(tracks[i].inputs) for i in idx])
             t = np.concatenate([tracks[i].surge for i in idx])
-            loss, grads = _reference_loss_grads(net, x, t, workers)
+            loss, grads = _reference_loss_grads(net, x, t)
             assert row.train_mse == loss
             net, state = adam_step(net, GradientSet(grads), state, row.lr, cfg)
         assert max_layer_diff(ck.net.layers, net.layers) == 0.0
+
+
+class TestTiles:
+    def test_default_batch_runs_as_four_shards(self):
+        executor = _StepExecutor(Architecture(6, (32, 64), 10), 32 * 193, 1)
+        assert [hi - lo for lo, hi in executor.bounds] == [1544] * 4
+        assert executor.pool is None
+
+    @pytest.mark.parametrize("n", [1, TILE_ROWS, TILE_ROWS + 1, 32 * 193, 48 * 193])
+    def test_shards_are_contiguous_and_at_most_a_tile(self, n):
+        bounds = _StepExecutor(Architecture(6, (4,), 10), n, 1).bounds
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert max(hi - lo for lo, hi in bounds) <= TILE_ROWS
+        assert len(bounds) == -(-n // TILE_ROWS)
+
+    def test_train_is_bitwise_the_same_for_any_worker_count(self):
+        # 32 tracks of 193 rows make 4 shards; 10 validation tracks make
+        # 1930 rows, validated in 2 tiles of the first shard's 1544-row
+        # buffers.
+        split = make_split(32, n_val=10, seed=3)
+        runs = []
+        for workers in (1, 2, 3, 4):
+            cfg = TrainConfig(arch=Architecture(6, (32, 64), 10), epochs=12,
+                              validation_every=4, seed=8, workers=workers)
+            runs.append(train(cfg, split))
+        (ck1, history1), *others = runs
+        for ck, history in others:
+            assert history == history1
+            for (w, b), (w1, b1) in zip(ck.net.layers, ck1.net.layers):
+                assert np.array_equal(w, w1) and np.array_equal(b, b1)
+
+    @pytest.mark.parametrize("rows", [None, 700, 5000])
+    def test_tiled_validation_matches_one_forward_pass(self, rows):
+        arch = Architecture(6, (32, 64), 10)
+        net = init_network(arch, Rng(50))
+        x, t = random_batch(arch, 26, 51)  # 5018 rows
+        outputs, _ = forward_batch(net, x)
+        whole = float(((outputs - t) ** 2).sum() / t.size)
+        buffers = None if rows is None else _StepBuffers(arch, rows)
+        assert math.isclose(_dataset_mse(net, x, t, buffers), whole, rel_tol=1e-12)
 
 
 class TestStepAllocation:
