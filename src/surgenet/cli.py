@@ -196,7 +196,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     """Train on the corpus' training split and save the best checkpoint."""
-    split = dataset.load_corpus(cfg.corpus_dir)
+    split = dataset.load_corpus(cfg.corpus_dir, ("train", "val"))
     tc = cfg.train_config()
 
     def report(row):
@@ -215,18 +215,11 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _population(split: dataset.DatasetSplit, label: str) -> list:
-    if label == "all":
-        return list(split.all_tracks())
-    part = {"train": split.training, "val": split.validation, "test": split.testing}[label]
-    return list(part)
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score a checkpoint on one split and write the report CSVs."""
     ckpt = load_checkpoint(cfg.checkpoint)
-    split = dataset.load_corpus(cfg.corpus_dir)
-    tracks = _population(split, cfg.split)
+    labels = dataset.SPLIT_LABELS if cfg.split == "all" else (cfg.split,)
+    tracks = dataset.load_corpus(cfg.corpus_dir, labels).all_tracks()
     result = evaluation.evaluate_tracks(
         ckpt.net, ckpt.normalizer, tracks, cfg.split, window_days=cfg.window_days)
     metrics_path, series_path = evaluation.emit_report(result, cfg.report_dir)

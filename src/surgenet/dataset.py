@@ -495,13 +495,18 @@ def write_manifest(entries, path) -> None:
 
 
 def read_manifest(path) -> list:
-    """Read back (track_id, file, split) entries written by write_manifest."""
+    """Read back (track_id, file, split) entries written by write_manifest.
+
+    Every row is checked: its field count, its split label, and that its
+    track id is not already taken by an earlier row.
+    """
     path = Path(path)
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != ["track_id", "file", "split"]:
             raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
         entries = []
+        seen = set()
         for r, fields in enumerate(reader):
             if len(fields) != 3:
                 raise ColumnSchemaError(
@@ -510,6 +515,10 @@ def read_manifest(path) -> list:
             if split not in SPLIT_LABELS:
                 raise ColumnSchemaError(
                     f"{path.name}: unknown split label {split!r}", row=r, column="split")
+            if track_id in seen:
+                raise ColumnSchemaError(
+                    f"{path.name}: duplicate track id {track_id!r}", row=r, column="track_id")
+            seen.add(track_id)
             entries.append((track_id, file, split))
     return entries
 
@@ -549,20 +558,24 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     return split
 
 
-def load_corpus(corpus_dir) -> DatasetSplit:
-    """Load every track named in a corpus manifest, bucketed by split label."""
+def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
+    """Load the tracks a corpus manifest files under the given split labels.
+
+    The whole manifest is read and checked (read_manifest), but a track file
+    is opened only when its row's label is in labels. Partitions whose label
+    is not asked for come back as empty tuples.
+    """
+    unknown = [label for label in labels if label not in SPLIT_LABELS]
+    if unknown:
+        raise ValueError(f"unknown split labels {unknown}; expected some of {SPLIT_LABELS}")
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
     buckets = {label: [] for label in SPLIT_LABELS}
-    seen = set()
-    for track_id, file, split in read_manifest(manifest):
-        if track_id in seen:
-            raise ValueError(f"duplicate track id {track_id!r} in manifest")
-        seen.add(track_id)
-        track = load_track_csv(corpus_dir / file)
-        buckets[split].append(track)
+    for _, file, split in read_manifest(manifest):
+        if split in labels:
+            buckets[split].append(load_track_csv(corpus_dir / file))
     return DatasetSplit(
         training=tuple(buckets["train"]),
         validation=tuple(buckets["val"]),

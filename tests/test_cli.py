@@ -2,13 +2,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surgenet import cli
-from surgenet.dataset import tau_grid
+from surgenet.dataset import read_manifest, tau_grid
 
 
 def run(capsys, *argv):
@@ -29,6 +30,18 @@ def workspace(tmp_path_factory):
                      "--hidden", "8,8", "--epochs", "60", "--batch-tracks", "4",
                      "--validation-every", "20", "--out", str(ckpt)]) == 0
     return ws
+
+
+def damaged_corpus(workspace, dest, label):
+    """A copy of the workspace corpus whose first track filed under label has
+    an unparsable cell; returns the copy and that track's file name."""
+    shutil.copytree(workspace / "corpus", dest)
+    name = next(file for _, file, split in read_manifest(dest / "manifest.csv")
+                if split == label)
+    lines = (dest / name).read_text().splitlines(keepends=True)
+    lines[1] = "oops" + lines[1][lines[1].index(","):]
+    (dest / name).write_text("".join(lines))
+    return dest, name
 
 
 class TestGenerate:
@@ -111,6 +124,17 @@ class TestTrain:
         assert code == 1
         assert "hidden" in stderr
 
+    def test_test_split_files_are_not_read(self, tmp_path, workspace, capsys):
+        corpus, _ = damaged_corpus(workspace, tmp_path / "corpus", "test")
+        args = ["train", "--seed", "33", "--hidden", "8", "--epochs", "10",
+                "--batch-tracks", "4", "--validation-every", "5"]
+        assert run(capsys, *args, "--corpus", str(workspace / "corpus"),
+                   "--out", str(tmp_path / "a.json"))[0] == 0
+        assert run(capsys, *args, "--corpus", str(corpus),
+                   "--out", str(tmp_path / "b.json"))[0] == 0
+        for intact, damaged in (("a.json", "b.json"), ("a_history.csv", "b_history.csv")):
+            assert (tmp_path / intact).read_bytes() == (tmp_path / damaged).read_bytes()
+
     def test_missing_corpus_fails_cleanly(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--corpus", str(tmp_path / "nowhere"),
                               "--epochs", "5", "--out", str(tmp_path / "m.json"))
@@ -148,6 +172,32 @@ class TestEvaluate:
         assert "12 tracks" in stdout
         with open(tmp_path / "r" / "timeseries_all.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + 12 * 193
+
+    def test_only_the_chosen_split_is_read(self, tmp_path, workspace, capsys):
+        corpus, _ = damaged_corpus(workspace, tmp_path / "corpus", "train")
+        for name, source in (("intact", workspace / "corpus"), ("damaged", corpus)):
+            code, _, _ = run(capsys, "evaluate", "--corpus", str(source),
+                             "--checkpoint", str(workspace / "model.json"),
+                             "--split", "test", "--out", str(tmp_path / name))
+            assert code == 0
+        for report in ("metrics_test.csv", "timeseries_test.csv"):
+            intact = (tmp_path / "intact" / report).read_bytes()
+            assert (tmp_path / "damaged" / report).read_bytes() == intact
+
+    @pytest.mark.parametrize("command,args", [
+        ("evaluate", ("--split", "all")),
+        ("train", ("--hidden", "8", "--epochs", "5", "--batch-tracks", "4")),
+    ])
+    def test_damaged_file_in_a_used_split_is_named(self, tmp_path, workspace, capsys,
+                                                   command, args):
+        corpus, name = damaged_corpus(workspace, tmp_path / "corpus", "train")
+        if command == "evaluate":
+            args = ("--checkpoint", str(workspace / "model.json"), *args)
+        code, _, stderr = run(capsys, command, "--corpus", str(corpus), *args,
+                              "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert stderr.startswith(f"error: {name}: unparsable value 'oops'")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, workspace, capsys):
         code, _, stderr = run(capsys, "evaluate", "--corpus", str(workspace / "corpus"),

@@ -535,6 +535,16 @@ class TestManifest:
                            match=r"manifest\.csv: unknown split label 'holdout'.*row 1"):
             read_manifest(path)
 
+    def test_duplicate_id_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("track_id,file,split\n"
+                        "track_0001,track_0001.csv,train\n"
+                        "track_0002,track_0002.csv,val\n"
+                        "track_0001,track_0003.csv,test\n")
+        with pytest.raises(ColumnSchemaError, match=r"manifest\.csv: duplicate track id "
+                                                    r"'track_0001' \| row 2 \| column 'track_id'"):
+            read_manifest(path)
+
 
 class TestCorpus:
     def test_files_and_split(self, tmp_path):
@@ -569,6 +579,42 @@ class TestCorpus:
         for tid in a:
             np.testing.assert_array_equal(a[tid].inputs, b[tid].inputs)
             np.testing.assert_array_equal(a[tid].surge, b[tid].surge)
+
+    def test_load_of_one_label_leaves_the_others_empty(self, tmp_path):
+        generate_corpus(20, 3, ORACLE, tmp_path / "c")
+        full = load_corpus(tmp_path / "c")
+        only = load_corpus(tmp_path / "c", ("test",))
+        assert only.training == () and only.validation == ()
+        assert [t.track_id for t in only.testing] == [t.track_id for t in full.testing]
+        for a, b in zip(only.testing, full.testing):
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert a.surge.tobytes() == b.surge.tobytes()
+
+    def test_files_of_unloaded_labels_are_never_opened(self, tmp_path):
+        generate_corpus(12, 3, ORACLE, tmp_path / "c")
+        entries = read_manifest(tmp_path / "c" / "manifest.csv")
+        test_file = next(file for _, file, label in entries if label == "test")
+        (tmp_path / "c" / test_file).write_text("not a track\n")
+        loaded = load_corpus(tmp_path / "c", ("train", "val"))
+        assert (len(loaded.training), len(loaded.validation), loaded.testing) == (10, 1, ())
+        with pytest.raises(ColumnSchemaError, match=test_file):
+            load_corpus(tmp_path / "c")
+
+    def test_duplicate_id_in_an_unloaded_label_still_fails(self, tmp_path):
+        generate_corpus(12, 3, ORACLE, tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.csv"
+        entries = read_manifest(manifest)
+        train_id = next(tid for tid, _, label in entries if label == "train")
+        r = next(r for r, (_, _, label) in enumerate(entries) if label == "test")
+        entries[r] = (train_id, *entries[r][1:])
+        write_manifest(entries, manifest)
+        with pytest.raises(ColumnSchemaError, match=rf"duplicate track id '{train_id}' "
+                                                    rf"\| row {r} \| column 'track_id'"):
+            load_corpus(tmp_path / "c", ("train",))
+
+    def test_unknown_label_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown split labels \\['tset'\\]"):
+            load_corpus(tmp_path, ("train", "tset"))
 
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest.csv"):
