@@ -204,28 +204,46 @@ def format_rows(block, digits: int, lead: str = "") -> str:
     return "".join([lead + line % tuple(row) for row in block.tolist()])
 
 
-@contextlib.contextmanager
-def _csv_reader(path: Path):
-    """A csv.reader over a UTF-8 file; other bytes raise TrackValidationError
-    naming the file."""
+def _read_csv(path: Path) -> tuple:
+    """The header fields of a UTF-8 CSV file (None if it is empty) and its
+    remaining lines, split where csv.reader splits them: at CR LF, CR or LF.
+    Other bytes raise TrackValidationError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+            buf = io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
         raise TrackValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    return next(csv.reader(buf), None), buf.readlines()
 
 
-def _float_rows(path: Path, reader, header, names) -> np.ndarray:
-    """Parse the reader's remaining rows, each len(header) fields wide, and
-    return the columns called names, in that order, as floats.
+def _float_rows(path: Path, lines, header, names) -> np.ndarray:
+    """Parse the data lines, each len(header) fields wide, and return the
+    columns called names, in that order, as floats.
 
-    A row is parsed with one float() per field; only when one fails is the
-    row searched for the field to name. Errors name the file, the data row
-    (0-based) and the column.
+    numpy's C reader parses them in one call. It accepts no number that
+    float() refuses and reads the same bits for every one it accepts, but it
+    lays rows out differently: it skips blank lines, reads a quote as text,
+    and with usecols= it accepts rows of any width. So its result is kept
+    only for lines without quotes, with one row per line and len(header)
+    fields in every line.
+
+    Otherwise each line is parsed with csv.reader and one float() per field;
+    only when one fails is the row searched for the field to name. That loop
+    raises every error: each names the file, the data row (0-based) and the
+    column.
     """
     pick = None if tuple(header) == tuple(names) else [header.index(c) for c in names]
+    # Quotes are left to csv.reader, and numpy warns on a body of blank lines only.
+    if not any('"' in line for line in lines) and any(line.strip("\r\n") for line in lines):
+        data = None
+        with contextlib.suppress(ValueError):  # a cell or row numpy cannot read
+            data = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                              dtype=np.float64, ndmin=2, usecols=pick)
+        if data is not None and data.shape == (len(lines), len(names)) and (
+                pick is None or all(line.count(",") == len(header) - 1 for line in lines)):
+            return data
     values = []
-    for r, fields in enumerate(reader):
+    for r, fields in enumerate(csv.reader(lines)):
         if len(fields) != len(header):
             raise ColumnSchemaError(
                 f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
@@ -255,14 +273,13 @@ def save_track_csv(track: StormTrack, path) -> None:
 def load_track_csv(path) -> StormTrack:
     """Parse and validate one storm-track file; track id is the file stem."""
     path = Path(path)
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise ColumnSchemaError(f"{path.name}: empty file")
-        if tuple(header) != CSV_COLUMNS:
-            raise ColumnSchemaError(
-                f"{path.name}: header {tuple(header)!r} does not match the track schema")
-        data = _float_rows(path, reader, header, CSV_COLUMNS)
+    header, lines = _read_csv(path)
+    if header is None:
+        raise ColumnSchemaError(f"{path.name}: empty file")
+    if tuple(header) != CSV_COLUMNS:
+        raise ColumnSchemaError(
+            f"{path.name}: header {tuple(header)!r} does not match the track schema")
+    data = _float_rows(path, lines, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
     validate_track(track, f"{path.name}: ")
     return track
@@ -467,14 +484,13 @@ def read_input_series(path) -> np.ndarray:
     name; surge and other extra columns are ignored. Rows must pass
     _check_input_ranges."""
     path = Path(path)
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise ColumnSchemaError(f"{path.name}: empty file")
-        missing = [c for c in INPUT_COLUMNS if c not in header]
-        if missing:
-            raise ColumnSchemaError(f"{path.name}: missing input columns {missing}")
-        rows = _float_rows(path, reader, header, INPUT_COLUMNS)
+    header, lines = _read_csv(path)
+    if header is None:
+        raise ColumnSchemaError(f"{path.name}: empty file")
+    missing = [c for c in INPUT_COLUMNS if c not in header]
+    if missing:
+        raise ColumnSchemaError(f"{path.name}: missing input columns {missing}")
+    rows = _float_rows(path, lines, header, INPUT_COLUMNS)
     if len(rows) == 0:
         raise RowCountError(f"{path.name}: no data rows")
     _check_input_ranges(rows, f"{path.name}: ")
@@ -497,29 +513,33 @@ def write_manifest(entries, path) -> None:
 def read_manifest(path) -> list:
     """Read back (track_id, file, split) entries written by write_manifest.
 
-    Every row is checked: its field count, its split label, and that its
-    track id is not already taken by an earlier row.
+    Every row is checked: its field count, its split label, and that neither
+    its track id nor its file (compared after os.path.normpath) is already
+    taken by an earlier row, so no track file sits in two splits.
     """
     path = Path(path)
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header != ["track_id", "file", "split"]:
-            raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
-        entries = []
-        seen = set()
-        for r, fields in enumerate(reader):
-            if len(fields) != 3:
-                raise ColumnSchemaError(
-                    f"{path.name}: expected 3 fields, got {len(fields)}", row=r)
-            track_id, file, split = fields
-            if split not in SPLIT_LABELS:
-                raise ColumnSchemaError(
-                    f"{path.name}: unknown split label {split!r}", row=r, column="split")
-            if track_id in seen:
-                raise ColumnSchemaError(
-                    f"{path.name}: duplicate track id {track_id!r}", row=r, column="track_id")
-            seen.add(track_id)
-            entries.append((track_id, file, split))
+    header, lines = _read_csv(path)
+    if header != ["track_id", "file", "split"]:
+        raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
+    entries = []
+    seen_ids, seen_files = set(), set()
+    for r, fields in enumerate(csv.reader(lines)):
+        if len(fields) != 3:
+            raise ColumnSchemaError(
+                f"{path.name}: expected 3 fields, got {len(fields)}", row=r)
+        track_id, file, split = fields
+        if split not in SPLIT_LABELS:
+            raise ColumnSchemaError(
+                f"{path.name}: unknown split label {split!r}", row=r, column="split")
+        if track_id in seen_ids:
+            raise ColumnSchemaError(
+                f"{path.name}: duplicate track id {track_id!r}", row=r, column="track_id")
+        if os.path.normpath(file) in seen_files:
+            raise ColumnSchemaError(
+                f"{path.name}: duplicate track file {file!r}", row=r, column="file")
+        seen_ids.add(track_id)
+        seen_files.add(os.path.normpath(file))
+        entries.append((track_id, file, split))
     return entries
 
 

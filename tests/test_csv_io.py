@@ -1,16 +1,21 @@
-"""The CSV writers against the per-value loops they replaced, and the atomic
-write every artifact goes through.
+"""The CSV writers and readers against the per-value loops they replaced, and
+the atomic write every artifact goes through.
 
 The reference writers below are the csv.writer + format() loops that wrote
 track files, report time series, metrics tables, predictions and training
 histories before each was formatted one row at a time. They are kept here as the
-specification of those files' bytes.
+specification of those files' bytes. The reference readers are the
+csv.reader + float() loops that parsed track and predict files before numpy's
+reader took every file it reads the same way: they specify which files load,
+to what bits, and every error message.
 """
 
 import contextlib
 import csv
 import io
 import os
+import shutil
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -23,18 +28,24 @@ from hypothesis.extra import numpy as hnp
 from surgenet import cli, dataset, evaluation, training
 from surgenet.dataset import (
     CSV_COLUMNS,
+    INPUT_COLUMNS,
     N_ROWS,
     N_STATIONS,
     SURGE_COLUMNS,
     StormTrack,
     atomic_write,
     default_oracle,
+    format_rows,
     generate_track,
     load_track_csv,
+    read_input_series,
+    read_manifest,
     save_track_csv,
     tau_grid,
+    validate_track,
     write_manifest,
 )
+from surgenet.errors import ColumnSchemaError, RowCountError, TrackValidationError
 from surgenet.evaluation import (
     E_STAR_MASS,
     METRICS_HEADER,
@@ -124,6 +135,98 @@ def reference_history(history, path):
             ))
 
 
+# -- reference readers --------------------------------------------------------
+
+
+@contextlib.contextmanager
+def reference_csv_reader(path):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise TrackValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+
+
+def reference_float_rows(path, reader, header, names):
+    pick = None if tuple(header) == tuple(names) else [header.index(c) for c in names]
+    values = []
+    for r, fields in enumerate(reader):
+        if len(fields) != len(header):
+            raise ColumnSchemaError(
+                f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
+        if pick is not None:
+            fields = [fields[i] for i in pick]
+        try:
+            values.append(list(map(float, fields)))
+        except ValueError:
+            for field, column in zip(fields, names):
+                try:
+                    float(field)
+                except ValueError:
+                    raise TrackValidationError(
+                        f"{path.name}: unparsable value {field!r}",
+                        row=r, column=column) from None
+    return np.array(values, dtype=np.float64).reshape(len(values), len(names))
+
+
+def reference_load_track_csv(path):
+    path = Path(path)
+    with reference_csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ColumnSchemaError(f"{path.name}: empty file")
+        if tuple(header) != CSV_COLUMNS:
+            raise ColumnSchemaError(
+                f"{path.name}: header {tuple(header)!r} does not match the track schema")
+        data = reference_float_rows(path, reader, header, CSV_COLUMNS)
+    track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
+    validate_track(track, f"{path.name}: ")
+    return track
+
+
+def reference_read_input_series(path):
+    path = Path(path)
+    with reference_csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ColumnSchemaError(f"{path.name}: empty file")
+        missing = [c for c in INPUT_COLUMNS if c not in header]
+        if missing:
+            raise ColumnSchemaError(f"{path.name}: missing input columns {missing}")
+        rows = reference_float_rows(path, reader, header, INPUT_COLUMNS)
+    if len(rows) == 0:
+        raise RowCountError(f"{path.name}: no data rows")
+    dataset._check_input_ranges(rows, f"{path.name}: ")
+    return rows
+
+
+def reference_rows(path, names):
+    """The columns called names of a CSV file, through the reference loop."""
+    with reference_csv_reader(path) as reader:
+        return reference_float_rows(path, reader, next(reader), names)
+
+
+def parsed_rows(path, names):
+    """The columns called names of a CSV file, as the track and predict
+    readers parse them."""
+    header, lines = dataset._read_csv(path)
+    return dataset._float_rows(path, lines, header, names)
+
+
+def outcome(load, path):
+    """What load(path) gives: the bytes of what it returns, or the type and
+    message of what it raises. Any warning fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = load(path)
+    except Exception as exc:  # the reference may raise anything; so must the new
+        return type(exc), str(exc)
+    if isinstance(result, StormTrack):
+        return result.track_id, result.inputs.tobytes(), result.surge.tobytes()
+    return result.shape, result.tobytes()
+
+
 # -- strategies ---------------------------------------------------------------
 
 # Values whose text is easy to get wrong: signed zero, the smallest subnormal
@@ -134,8 +237,13 @@ AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
            1.7976931348623157e308)
 
 
+# And the values a finite-only draw never gives, with the extremes' neighbours.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-308,
+              -1e-308, 2.2250738585072009e-308)
+
+
 def values(finite=False):
-    return st.one_of(st.sampled_from(AWKWARD),
+    return st.one_of(st.sampled_from(AWKWARD if finite else AWKWARD + NON_FINITE),
                      st.floats(allow_nan=not finite, allow_infinity=not finite))
 
 
@@ -165,21 +273,156 @@ class TestTrackCsvBytes:
         assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
     @SETTINGS
-    @given(lonlat=rows_of(2, finite=True), surge=rows_of(N_STATIONS, finite=True),
+    @given(table=rows_of(len(CSV_COLUMNS)),
+           lonlat=rows_of(2, finite=True), surge=rows_of(N_STATIONS, finite=True),
            rmax=st.one_of(st.just(5e-324), st.floats(min_value=0, exclude_min=True,
                                                      allow_infinity=False)),
            vmax=st.one_of(st.just(-0.0), st.floats(min_value=0, allow_infinity=False)),
            fspeed=st.one_of(st.just(-0.0), st.floats(min_value=0, allow_infinity=False)))
-    def test_load_restores_every_bit(self, tmp_path_factory, lonlat, surge, rmax, vmax,
-                                     fspeed):
+    def test_load_restores_every_bit(self, tmp_path_factory, table, lonlat, surge, rmax,
+                                     vmax, fspeed):
+        tmp = tmp_path_factory.mktemp("round")
+        # Any table, nan and inf included: all its columns, and a pick of six.
+        save_track_csv(StormTrack("table", table[:, :6], table[:, 6:]), tmp / "table.csv")
+        written = np.where(np.isnan(table), np.nan, table)  # every nan is written "nan"
+        for names in (CSV_COLUMNS, INPUT_COLUMNS):
+            want = written[:, [CSV_COLUMNS.index(c) for c in names]]
+            got = parsed_rows(tmp / "table.csv", names)
+            assert got.tobytes() == reference_rows(tmp / "table.csv", names).tobytes()
+            assert got.tobytes() == want.tobytes()
+        # A valid track, through the whole loader.
         storm = np.full((N_ROWS, 3), (rmax, vmax, fspeed))
         inputs = np.column_stack([tau_grid(), lonlat, storm])
         track = StormTrack("track_0001", inputs, surge)
-        path = tmp_path_factory.mktemp("round") / "track_0001.csv"
-        save_track_csv(track, path)
-        back = load_track_csv(path)
+        save_track_csv(track, tmp / "track_0001.csv")
+        back = load_track_csv(tmp / "track_0001.csv")
         assert back.inputs.tobytes() == track.inputs.tobytes()
         assert back.surge.tobytes() == track.surge.tobytes()
+
+
+# -- damaged files ------------------------------------------------------------
+
+INTACT = generate_track(Rng(8), default_oracle(), "track_0001")
+INTACT_ROWS = [line.split(",") for line in
+               format_rows(np.hstack([INTACT.inputs, INTACT.surge]), 17).split("\r\n")[:-1]]
+
+# Cell texts: spellings only float() accepts, quoting, comment marks, padding,
+# and drawn text that may hold delimiters and line ends of its own.
+CELL_TEXTS = st.one_of(
+    st.sampled_from(["1_000", '"1.5"', "#5", "5#", "١٢", "", " ", "-nan",
+                     "1e999", "0x1p3", "1e", "+-1", "1.5 x", " 2", '"x', 'y"']),
+    st.tuples(st.sampled_from(["", " ", "  ", "\t"]), values(),
+              st.sampled_from(["", " ", "\t "])).map(lambda t: f"{t[0]}{t[1]!r}{t[2]}"),
+    st.text(st.sampled_from('0123456789.eE+-_ ,#"\t\r\n١x'), max_size=8),
+)
+
+
+def render(rows, end="\r\n"):
+    """A track file's text: the header, then rows of field texts ([] for a
+    blank line), each ended with end."""
+    return "".join(",".join(row) + end for row in [list(CSV_COLUMNS), *rows])
+
+
+@st.composite
+def damaged_texts(draw):
+    """The intact track's text with one or two damages and drawn line ends."""
+    rows = [list(row) for row in INTACT_ROWS]
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "short", "long", "blank", "trailing blank"]))
+        if kind == "cell" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(CELL_TEXTS)
+        elif kind == "short":
+            rows[r] = rows[r][:-1]
+        elif kind == "long":
+            rows[r] = [*rows[r], draw(CELL_TEXTS)]
+        elif kind == "blank":
+            rows.insert(r, [])
+        elif kind == "trailing blank":
+            rows.append([])
+    return render(rows, draw(st.sampled_from(["\r\n", "\n", "\r"])))
+
+
+def edited(r, c, text):
+    """An edit of rows that puts text in row r, column c."""
+    return lambda rows: [row if i != r else [*row[:c], text, *row[c + 1:]]
+                         for i, row in enumerate(rows)]
+
+
+# Each case: an edit of the intact rows, the line end, and whether evaluate
+# and predict refuse the file. Track files must sit on the tau grid, predict
+# files need only the six input columns, so some files load for one only.
+CLI_CASES = {
+    "unparsable cell": (edited(1, 4, "#5"), "\r\n", True, True),
+    "comment mark after the last field": (edited(2, 15, "5#"), "\r\n", True, False),
+    "comment mark after fspeed": (edited(2, 5, "5#"), "\r\n", True, True),
+    "quote spanning two lines": (lambda rows: edited(3, 15, 'y"')(edited(2, 15, '"x')(rows)),
+                                 "\r\n", True, False),
+    "quoted number": (edited(3, 1, '"-76.5"'), "\r\n", False, False),
+    "underscored number": (edited(3, 3, "1_000"), "\r\n", False, False),
+    "arabic-indic digits": (edited(3, 4, "١٢"), "\r\n", False, False),
+    "padded negative": (edited(4, 3, " -3.5 "), "\r\n", True, True),
+    "short row": (lambda rows: [row[:-1] if i == 4 else row for i, row in enumerate(rows)],
+                  "\r\n", True, True),
+    "long row": (lambda rows: [[*row, "0"] if i == 5 else row for i, row in enumerate(rows)],
+                 "\r\n", True, True),
+    "inserted blank line": (lambda rows: [*rows[:6], [], *rows[6:]], "\r\n", True, True),
+    "trailing blank line": (lambda rows: [*rows, []], "\r\n", True, True),
+    "bare CR line ends": (lambda rows: rows, "\r", False, False),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    """A 12-track corpus and an untrained checkpoint fitted to it."""
+    tmp = tmp_path_factory.mktemp("corpus")
+    split = dataset.generate_corpus(12, 404, default_oracle(), tmp / "corpus")
+    inputs = np.concatenate([t.inputs for t in split.training])
+    save_checkpoint(init_network(Architecture(6, (8,), N_STATIONS), Rng(9)),
+                    fit_normalizer(inputs), CheckpointMeta(404, 1, 0.5), tmp / "model.json")
+    return tmp
+
+
+class TestDamagedFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(text=damaged_texts())
+    def test_loaders_match_the_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("damaged") / "track_0001.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_track_csv, path) == outcome(reference_load_track_csv, path)
+        assert outcome(read_input_series, path) == outcome(reference_read_input_series, path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("case", list(CLI_CASES))
+    def test_cli_reports_the_row_loops_error(self, corpus_files, tmp_path, capsys, case,
+                                             command):
+        edit, end, evaluate_fails, predict_fails = CLI_CASES[case]
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_files / "corpus", corpus)
+        name = next(file for _, file, split in read_manifest(corpus / "manifest.csv")
+                    if split == "test")
+        (corpus / name).write_bytes(render(edit(INTACT_ROWS), end).encode("utf-8"))
+        checkpoint = str(corpus_files / "model.json")
+        if command == "evaluate":
+            fails, load, reference = evaluate_fails, load_track_csv, reference_load_track_csv
+            argv = ["evaluate", "--corpus", str(corpus), "--checkpoint", checkpoint,
+                    "--split", "test", "--out", str(tmp_path / "reports")]
+        else:
+            fails, load, reference = predict_fails, read_input_series, reference_read_input_series
+            argv = ["predict", "--checkpoint", checkpoint, "--track", str(corpus / name),
+                    "--out", str(tmp_path / "pred.csv")]
+        code = cli.main(argv)
+        stderr = capsys.readouterr().err
+        expected = outcome(reference, corpus / name)
+        assert outcome(load, corpus / name) == expected
+        if fails:
+            assert code == 1
+            assert isinstance(expected[0], type)  # the reference raised
+            assert stderr == f"error: {expected[1]}\n"
+            assert stderr.startswith(f"error: {name}: ")
+        else:
+            assert (code, stderr) == (0, "")
+        assert "could not convert" not in stderr and "number of columns" not in stderr
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,18 @@
+import csv
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from surgenet import dataset
 from surgenet.dataset import (
     KM_PER_DEG_LAT,
     KM_PER_DEG_LON,
     LANDFALL_ROW,
     N_ROWS,
+    SPLIT_LABELS,
     STATION_LONS,
     DatasetSplit,
     OracleParams,
@@ -179,6 +184,16 @@ class TestTrackCsv:
             load_track_csv(path)
         assert err.value.row == 2
         assert err.value.column == "vmax_ms"
+
+    def test_intact_file_is_parsed_by_numpy(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_track_csv(make_track(), path)
+        with mock.patch.object(dataset.np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(dataset.csv, "reader", wraps=csv.reader) as reader:
+            load_track_csv(path)
+            read_input_series(path)
+        assert loadtxt.call_count == 2
+        assert reader.call_count == 2  # the headers only: no row went through the loop
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -545,6 +560,17 @@ class TestManifest:
                                                     r"'track_0001' \| row 2 \| column 'track_id'"):
             read_manifest(path)
 
+    def test_duplicate_file_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("track_id,file,split\n"
+                        "track_0001,track_0001.csv,train\n"
+                        "track_0002,track_0002.csv,val\n"
+                        "track_0003,./sub/../track_0001.csv,test\n")
+        with pytest.raises(ColumnSchemaError, match=r"manifest\.csv: duplicate track file "
+                                                    r"'\./sub/\.\./track_0001\.csv' \| row 2 "
+                                                    r"\| column 'file'"):
+            read_manifest(path)
+
 
 class TestCorpus:
     def test_files_and_split(self, tmp_path):
@@ -611,6 +637,23 @@ class TestCorpus:
         with pytest.raises(ColumnSchemaError, match=rf"duplicate track id '{train_id}' "
                                                     rf"\| row {r} \| column 'track_id'"):
             load_corpus(tmp_path / "c", ("train",))
+
+    @pytest.mark.parametrize("labels", [
+        labels for n in range(4) for labels in itertools.combinations(SPLIT_LABELS, n)],
+        ids=lambda labels: "+".join(labels) or "none")
+    def test_file_named_by_two_rows_fails_for_every_label_choice(self, tmp_path, labels):
+        generate_corpus(12, 3, ORACLE, tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.csv"
+        assert len(load_corpus(tmp_path / "c", labels).all_tracks()) == sum(
+            (10, 1, 1)[SPLIT_LABELS.index(label)] for label in labels)
+        entries = read_manifest(manifest)
+        train_file = next(file for _, file, label in entries if label == "train")
+        r = next(r for r, (_, _, label) in enumerate(entries) if label == "test")
+        entries[r] = ("renamed_id", train_file, "test")
+        write_manifest(entries, manifest)
+        with pytest.raises(ColumnSchemaError, match=rf"duplicate track file '{train_file}' "
+                                                    rf"\| row {r} \| column 'file'"):
+            load_corpus(tmp_path / "c", labels)
 
     def test_unknown_label_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown split labels \\['tset'\\]"):
