@@ -237,7 +237,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         raise ConfigError("predict needs --track (or the 'track' config key)")
     ckpt = load_checkpoint(cfg.checkpoint)
     raw = dataset.read_input_series(cfg.track)
-    inputs = dataset.interpolate_to_grid(raw)
+    inputs = dataset.interpolate_to_grid(raw, f"{Path(cfg.track).name}: ")
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))
     out = Path(cfg.prediction)
     if out.parent != Path(""):

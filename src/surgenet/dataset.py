@@ -204,6 +204,19 @@ def format_rows(block, digits: int, lead: str = "") -> str:
     return "".join([lead + line % tuple(row) for row in block.tolist()])
 
 
+def _records(path: Path, lines, header=False):
+    """csv.reader over lines. A record csv refuses, such as one with a field
+    longer than csv.field_size_limit(), raises TrackValidationError naming
+    the file and the data row (0-based), or the header if header is set."""
+    r = -1  # the last record read
+    try:
+        for r, fields in enumerate(csv.reader(lines)):
+            yield fields
+    except csv.Error as exc:
+        raise TrackValidationError(f"{path.name}: {'header: ' if header else ''}{exc}",
+                                   row=None if header else r + 1) from None
+
+
 def _read_csv(path: Path) -> tuple:
     """The header fields of a UTF-8 CSV file (None if it is empty) and its
     remaining lines, split where csv.reader splits them: at CR LF, CR or LF.
@@ -213,7 +226,7 @@ def _read_csv(path: Path) -> tuple:
             buf = io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
         raise TrackValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    return next(csv.reader(buf), None), buf.readlines()
+    return next(_records(path, buf, header=True), None), buf.readlines()
 
 
 def _float_rows(path: Path, lines, header, names) -> np.ndarray:
@@ -243,7 +256,7 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
                 pick is None or all(line.count(",") == len(header) - 1 for line in lines)):
             return data
     values = []
-    for r, fields in enumerate(csv.reader(lines)):
+    for r, fields in enumerate(_records(path, lines)):
         if len(fields) != len(header):
             raise ColumnSchemaError(
                 f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
@@ -456,22 +469,29 @@ def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
     return range(int(rows[0]), int(rows[-1]) + 1)
 
 
-def interpolate_to_grid(raw_inputs) -> np.ndarray:
+def interpolate_to_grid(raw_inputs, where: str = "") -> np.ndarray:
     """Linearly interpolate irregular input rows onto the 30-minute tau grid.
 
     Rows may come in any tau order and spacing; values outside the given tau
     range hold the nearest boundary value. A single row extends as constant.
+    A non-finite cell or a repeated tau is refused, naming its row (in input
+    order) and column after the prefix where (e.g. "in.csv: ").
     """
     x = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
     if x.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"expected {len(INPUT_COLUMNS)} input columns, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteValueError("non-finite value in prediction inputs")
-    order = np.argsort(x[:, 0])
+            f"{where}expected {len(INPUT_COLUMNS)} input columns, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise NonFiniteValueError(f"{where}non-finite value", row=int(r), column=INPUT_COLUMNS[c])
+    order = np.argsort(x[:, 0], kind="stable")
+    repeats = order[1:][np.diff(x[order, 0]) == 0]  # rows whose tau an earlier row has
+    if repeats.size:
+        r = int(repeats.min())
+        raise TauGridError(f"{where}duplicate tau value {float(x[r, 0])!r}",
+                           row=r, column="tau_days")
     x = x[order]
-    if x.shape[0] > 1 and (np.diff(x[:, 0]) == 0).any():
-        raise ValueError("duplicate tau values in prediction inputs")
     grid = tau_grid()
     cols = [grid]
     for c in range(1, len(INPUT_COLUMNS)):
@@ -523,7 +543,7 @@ def read_manifest(path) -> list:
         raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
     entries = []
     seen_ids, seen_files = set(), set()
-    for r, fields in enumerate(csv.reader(lines)):
+    for r, fields in enumerate(_records(path, lines)):
         if len(fields) != 3:
             raise ColumnSchemaError(
                 f"{path.name}: expected 3 fields, got {len(fields)}", row=r)

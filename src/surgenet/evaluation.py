@@ -6,6 +6,7 @@ station over whole tracks or over the landfall window only.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,6 @@ WIDE_BOUND_M = 0.50
 E_STAR_MASS = 0.95
 
 _MIN_KDE_SAMPLES = 10
-_QUANTILE_TOL_M = 1e-7  # bisection stop; far tighter than the 1e-4 contract
 
 
 @dataclass(frozen=True)
@@ -85,29 +85,19 @@ def predict_track(net, normalizer, track) -> np.ndarray:
     return outputs
 
 
-def collect_errors(net, normalizer, tracks, window_days=None) -> list:
-    """Pool prediction-minus-observation errors per station.
+def pool_errors(series, window_days=None) -> list:
+    """Per-station prediction-minus-observation errors of (track, predictions) pairs.
 
     window_days restricts every track to its landfall window; None keeps all
     rows. Returns ten 1-D arrays, one per station.
     """
-    return _pool_errors([(tr, predict_track(net, normalizer, tr)) for tr in tracks],
-                        window_days)
-
-
-def _pool_errors(series, window_days) -> list:
-    """collect_errors over (track, predictions) pairs that are already known."""
     if not series:
-        raise ValueError("no tracks to collect errors from")
-    parts = [[] for _ in range(N_STATIONS)]
+        raise ValueError("no tracks to pool errors from")
+    blocks = []
     for track, preds in series:
-        err = preds - track.surge
-        if window_days is not None:
-            rows = landfall_window(track, window_days)
-            err = err[rows.start:rows.stop]
-        for i in range(N_STATIONS):
-            parts[i].append(err[:, i])
-    return [np.concatenate(p) for p in parts]
+        rows = range(len(preds)) if window_days is None else landfall_window(track, window_days)
+        blocks.append((preds - track.surge)[rows.start:rows.stop].T)
+    return list(np.concatenate(blocks, axis=1))
 
 
 @dataclass(frozen=True)
@@ -115,20 +105,16 @@ class ErrorPdf:
     """Gaussian-kernel density estimate of one error population.
 
     The density lives on a uniform grid wide enough that effectively all
-    kernel mass is inside. A zero-variance population is represented as a
-    point mass instead (point_mass set, empty grid, bandwidth 0).
+    kernel mass is inside, and cdf integrates it up to each grid point. One
+    value repeated is a point mass instead (point_mass set, arrays empty).
     """
 
     location: int | None
-    samples: np.ndarray
     bandwidth: float
     grid: np.ndarray
     density: np.ndarray
+    cdf: np.ndarray
     point_mass: float | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.size
 
 
 def fit_kde(errors, location=None) -> ErrorPdf:
@@ -141,16 +127,15 @@ def fit_kde(errors, location=None) -> ErrorPdf:
     e = np.asarray(errors, dtype=np.float64).ravel()
     n = e.size
     if n < _MIN_KDE_SAMPLES:
-        raise ValueError(f"need at least {_MIN_KDE_SAMPLES} samples, got {n}")
+        raise ValueError(f"need at least {_MIN_KDE_SAMPLES} errors, got {n}")
     if not np.isfinite(e).all():
-        raise ValueError("error samples must be finite")
+        raise ValueError("errors must be finite")
 
-    sigma = float(e.std())
-    if sigma == 0.0:
-        return ErrorPdf(location, e, 0.0, np.empty(0), np.empty(0),
+    if e.min() == e.max():  # e.std() can round to a few ulps above 0 here
+        return ErrorPdf(location, 0.0, np.empty(0), np.empty(0), np.empty(0),
                         point_mass=float(e[0]))
 
-    h = sigma * n ** (-0.2)
+    h = float(e.std()) * n ** (-0.2)
     lo = float(e.min()) - 4.0 * h
     hi = float(e.max()) + 4.0 * h
     n_grid = int(max(1024, min(np.ceil((hi - lo) / (h / 4.0)) + 1, 65536)))
@@ -169,7 +154,18 @@ def fit_kde(errors, location=None) -> ErrorPdf:
     kernel = np.exp(-(u * u) / (2.0 * h * h))
     kernel /= kernel.sum()
     density = np.convolve(counts, kernel, mode="same") / (n * step)
-    return ErrorPdf(location, e, h, grid, density)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (density[1:] + density[:-1]) / 2)])
+    return ErrorPdf(location, h, grid, density, cdf)
+
+
+def _within(pdf: ErrorPdf, e):
+    """P(|error| <= e) = F(e) - F(-e) for a float or array e, where F(x) is
+    the cdf at the grid point below x plus the trapezoid from there to x."""
+    g, d = pdf.grid, pdf.density
+    x = np.clip([e, -e], g[0], g[-1])
+    k = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+    f = pdf.cdf[k] + (x - g[k]) * (d[k] + np.interp(x, g, d)) / 2
+    return f[0] - f[1]
 
 
 def prob_within(pdf: ErrorPdf, bound: float) -> float:
@@ -178,33 +174,38 @@ def prob_within(pdf: ErrorPdf, bound: float) -> float:
         raise ValueError(f"bound must be > 0, got {bound}")
     if pdf.point_mass is not None:
         return 1.0 if abs(pdf.point_mass) <= bound else 0.0
-    a = max(-bound, float(pdf.grid[0]))
-    b = min(bound, float(pdf.grid[-1]))
-    if a >= b:
-        return 0.0
-    inner = pdf.grid[(pdf.grid > a) & (pdf.grid < b)]
-    xs = np.concatenate([[a], inner, [b]])
-    ys = np.interp(xs, pdf.grid, pdf.density)
-    return float(np.trapezoid(ys, xs))
+    return float(_within(pdf, bound))
 
 
 def quantile_interval(pdf: ErrorPdf, mass: float) -> float:
-    """Smallest half-width e* with prob_within(pdf, e*) >= mass (bisection)."""
+    """Smallest half-width e* with prob_within(pdf, e*) >= mass.
+
+    Between neighbouring knots of {0} and |grid| neither e nor -e crosses a
+    grid point, so the mass within e is quadratic in e there. It is solved in
+    closed form on the segment where it reaches mass.
+    """
     if not 0 < mass < 1:
         raise ValueError(f"mass must be in (0, 1), got {mass}")
     if pdf.point_mass is not None:
         return abs(pdf.point_mass)
-    hi = max(abs(float(pdf.grid[0])), abs(float(pdf.grid[-1])))
-    if prob_within(pdf, hi) < mass:
-        return hi  # mass asks for more than the grid holds; saturate
-    lo = 0.0
-    while hi - lo > _QUANTILE_TOL_M:
-        mid = 0.5 * (lo + hi)
-        if prob_within(pdf, mid) >= mass:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    knots = np.sort(np.abs(np.concatenate([[0.0], pdf.grid])))
+    p = _within(pdf, knots)
+    if p[-1] < mass:
+        return float(knots[-1])  # mass asks for more than the grid holds; saturate
+    j = int(np.argmax(p >= mass))  # >= 1, since p[0] == 0
+    e0, e1 = float(knots[j - 1]), float(knots[j])
+    # With u = (e - e0) / (e1 - e0), the mass within e is p[j - 1] + u (b + a u).
+    half, full = _within(pdf, (e0 + e1) / 2) - p[j - 1], p[j] - p[j - 1]
+    b, a, c = 4 * half - full, 2 * full - 4 * half, mass - p[j - 1]
+    root = b + math.sqrt(max(b * b + 4 * a * c, 0.0))
+    e = float(min(e0 + (e1 - e0) * (2 * c / root), e1)) if root > 0 else e1
+    # If rounding left the root short, gallop up from one ulp and halve back.
+    lo, step = e, math.ulp(e)
+    while _within(pdf, e) < mass:
+        lo, e, step = e, min(e + step, e1), 2 * step
+    while lo < (mid := lo + (e - lo) / 2) < e:
+        lo, e = (mid, e) if _within(pdf, mid) < mass else (lo, mid)
+    return e
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,9 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     preds = np.concatenate([p for _, p in series])
     obs = np.concatenate([tr.surge for tr, _ in series])
     metrics = location_metrics(preds, obs)
-
-    full_errors = _pool_errors(series, None)
-    window_errors = _pool_errors(series, window_days)
-    full_pdfs = [fit_kde(full_errors[i], location=i + 1) for i in range(N_STATIONS)]
-    window_pdfs = [fit_kde(window_errors[i], location=i + 1) for i in range(N_STATIONS)]
+    full_pdfs, window_pdfs = (
+        [fit_kde(e, location=i) for i, e in enumerate(pool_errors(series, days), start=1)]
+        for days in (None, window_days))
     return EvaluationResult(label, metrics, full_pdfs, window_pdfs, series, window_days)
 
 

@@ -111,19 +111,6 @@ def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
     return h, list(out[:-1])
 
 
-def forward(net: NetworkParams, x) -> tuple:
-    """Single-sample inference; returns (output vector, hidden activations).
-
-    The caller is responsible for normalizing x first.
-    """
-    v = numerics.as_vector(x)
-    if v.shape[0] != net.arch.input_dim:
-        raise DimensionMismatchError(
-            f"expected input of length {net.arch.input_dim}, got {v.shape[0]}")
-    y, hidden = forward_batch(net, v[None, :])
-    return y[0], [h[0] for h in hidden]
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Column-wise standardization fitted on training inputs only."""

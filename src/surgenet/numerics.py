@@ -1,5 +1,5 @@
-"""Float64 vector coercion, activations, column statistics, and the seeded
-random source used everywhere else in the package.
+"""Activations, column statistics, and the seeded random source used
+everywhere else in the package.
 
 Everything here is pure: the same inputs (and the same seed path) produce
 bitwise-identical results on every platform.
@@ -19,14 +19,6 @@ CONSTANT_STD_FLOOR = 1e-12
 # this so outputs stay strictly inside their open intervals.
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 _ZERO_ABOVE = np.nextafter(0.0, 1.0)
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce to a contiguous 1-D float64 array."""
-    v = np.ascontiguousarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
 
 
 def tanh_act(v, out=None) -> np.ndarray:

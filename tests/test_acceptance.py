@@ -24,10 +24,10 @@ from surgenet.dataset import (
 )
 from surgenet.evaluation import (
     TIGHT_BOUND_M,
-    collect_errors,
     evaluate_tracks,
     fit_kde,
     mse_per_location,
+    pool_errors,
     predict_track,
     prob_within,
     quantile_interval,
@@ -220,7 +220,7 @@ def test_05_metric_identities():
     normalizer = fit_normalizer(np.concatenate([t.inputs for t in tracks]))
     preds = np.concatenate([predict_track(net, normalizer, t) for t in tracks])
     obs = np.concatenate([t.surge for t in tracks])
-    errors = collect_errors(net, normalizer, tracks)
+    errors = pool_errors([(t, predict_track(net, normalizer, t)) for t in tracks])
     mse_direct = mse_per_location(preds, obs)
     mse_from_errors = np.array([(e * e).mean() for e in errors])
 
@@ -230,7 +230,7 @@ def test_05_metric_identities():
           and np.all(mse_self == 0)
           and np.abs(mse_direct - mse_from_errors).max() <= 1e-12)
     verdict(5, ok, "R(y,y)=1, R(y,-y)=-1, affine-invariant, MSE(y,y)=0, "
-                   "MSE = mean squared collected error (all within 1e-12)")
+                   "MSE = mean squared pooled error (all within 1e-12)")
 
 
 def test_06_kde_calibration():

@@ -1,0 +1,53 @@
+"""The names the benchmark's tracer binds still exist with the call shapes it
+expects.
+
+benchmark/spans.py replaces module attributes such as
+``training._parallel_loss_grads`` with timing wrappers, and tags each
+``_parallel_loss_grads`` span from that call's arguments. A rename, a deleted
+function or a reordered signature then breaks the benchmark at run time; this
+test runs a short training and an evaluation under the tracer so it breaks
+here instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from surgenet.dataset import DatasetSplit, default_oracle, generate_track
+from surgenet.evaluation import emit_report, evaluate_tracks
+from surgenet.network import Architecture
+from surgenet.numerics import Rng
+from surgenet.training import TrainConfig, train
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_train_and_evaluate_record_every_layer(tmp_path):
+    spans = load_spans()
+    root = Rng(12)
+    tracks = [generate_track(root.child(i), default_oracle(), f"track_{i:04d}")
+              for i in range(16)]
+    split = DatasetSplit(training=tuple(tracks[:12]), validation=tuple(tracks[12:14]),
+                         testing=tuple(tracks[14:]))
+    # 12 tracks of 193 rows exceed one 2048-row shard, so both workers run.
+    cfg = TrainConfig(Architecture(6, (8,), 10), epochs=2, batch_tracks=12, workers=2,
+                      validation_every=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ckpt, _ = train(cfg, split)
+        result = evaluate_tracks(ckpt.net, ckpt.normalizer, split.testing, label="test")
+        emit_report(result, tmp_path)
+    finally:
+        tracer.uninstall()
+    recorded = {name for _, name in tracer.totals()}
+    for name in ("evaluation.prob_within", "evaluation.quantile_interval",
+                 "evaluation.fit_kde", "training.loss_grads", "training.backprop"):
+        assert name in recorded, name
+    assert all(isinstance(s.tag, int) for s in tracer.spans if s.name == "training.loss_grads")

@@ -276,6 +276,23 @@ class TestPredict:
         assert f"got {float(value)!r} | row 1 | column '{column}'" in stderr
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("row,column,value,message", [
+        (2, "tau_days", "0.0", "duplicate tau value 0.0 | row 2 | column 'tau_days'"),
+        (1, "lon_deg", "inf", "non-finite value | row 1 | column 'lon_deg'"),
+    ], ids=["duplicate tau", "non-finite cell"])
+    def test_bad_cell_named(self, tmp_path, workspace, capsys, row, column, value, message):
+        columns = ["tau_days", "lon_deg", "lat_deg", "rmax_km", "vmax_ms", "fspeed_ms"]
+        rows = [["3.0", "-74.0", "33.0", "50", "30", "5"],
+                ["0.0", "-76.5", "34.8", "50", "30", "5"],
+                ["-1.0", "-77.2", "35.6", "50", "30", "5"]]
+        rows[row][columns.index(column)] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in [columns, *rows]) + "\n")
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
+                              "--track", str(bad), "--out", str(tmp_path / "p.csv"))
+        assert (code, stderr) == (1, f"error: bad.csv: {message}\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_utf8_checkpoint_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"a": "\xff"}')
@@ -291,6 +308,44 @@ class TestPredict:
                               "--out", str(tmp_path / "p.csv"))
         assert code == 1
         assert "--track" in stderr
+
+
+LONG_FIELD = "x" * 200_000  # over csv's default limit of 131,072 characters
+
+
+class TestOverlongField:
+    """A field csv refuses fails with the file's name, not a traceback."""
+
+    @pytest.mark.parametrize("in_manifest,line,row", [
+        (True, 1, " | row 0"),
+        (False, 0, ""),
+        (False, 1, " | row 0"),
+    ], ids=["manifest track_id", "track header", "track row"])
+    def test_evaluate(self, tmp_path, workspace, capsys, in_manifest, line, row):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        name = "manifest.csv" if in_manifest else next(
+            file for _, file, split in read_manifest(corpus / "manifest.csv") if split == "test")
+        lines = (corpus / name).read_text().splitlines(keepends=True)
+        lines[line] = LONG_FIELD + lines[line][lines[line].index(","):]
+        (corpus / name).write_text("".join(lines))
+        code, _, stderr = run(capsys, "evaluate", "--corpus", str(corpus),
+                              "--checkpoint", str(workspace / "model.json"),
+                              "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert stderr.startswith(f"error: {name}: {'' if line else 'header: '}field larger")
+        assert stderr.endswith(f"{row}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_header(self, tmp_path, workspace, capsys):
+        bad = tmp_path / "in.csv"
+        bad.write_text(f"tau_days,lon_deg,lat_deg,rmax_km,vmax_ms,fspeed_ms,{LONG_FIELD}\n"
+                       "0.0,-76.5,34.8,50,30,5,0\n")
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
+                              "--track", str(bad), "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert stderr.startswith("error: in.csv: header: field larger than field limit")
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestConfigFile:

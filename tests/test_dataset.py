@@ -443,11 +443,15 @@ class TestInterpolateToGrid:
 
     def test_duplicate_tau_rejected(self):
         raw = np.array([
-            [0.5, 1.0, 10.0, 50.0, 30.0, 5.0],
+            [1.0, 1.0, 10.0, 50.0, 30.0, 5.0],
+            [0.5, 2.0, 11.0, 50.0, 30.0, 5.0],
+            [1.0, 1.0, 10.0, 50.0, 30.0, 5.0],
             [0.5, 2.0, 11.0, 50.0, 30.0, 5.0],
         ])
-        with pytest.raises(ValueError, match="duplicate tau"):
-            interpolate_to_grid(raw)
+        # Rows 2 and 3 repeat an earlier tau; the first of them is named.
+        with pytest.raises(ValueError, match=r"^in.csv: duplicate tau value 1.0 \| row 2 \| "
+                                             r"column 'tau_days'$"):
+            interpolate_to_grid(raw, "in.csv: ")
 
     def test_non_finite_rejected(self):
         raw = np.array([[0.0, np.nan, 10.0, 50.0, 30.0, 5.0]])

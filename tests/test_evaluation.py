@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgenet import evaluation
 from surgenet.dataset import default_oracle, generate_track
@@ -11,12 +13,12 @@ from surgenet.evaluation import (
     E_STAR_MASS,
     METRICS_HEADER,
     TIGHT_BOUND_M,
-    collect_errors,
     emit_report,
     evaluate_tracks,
     fit_kde,
     location_metrics,
     mse_per_location,
+    pool_errors,
     predict_track,
     prob_within,
     quantile_interval,
@@ -40,6 +42,11 @@ def untrained():
     net = init_network(Architecture(6, (8, 8), 10), Rng(50))
     normalizer = fit_normalizer(np.concatenate([t.inputs for t in tracks]))
     return net, normalizer, tracks
+
+
+def predicted(net, normalizer, tracks):
+    """The (track, predictions) pairs that pool_errors takes."""
+    return [(t, predict_track(net, normalizer, t)) for t in tracks]
 
 
 class TestPerLocationMetrics:
@@ -96,7 +103,7 @@ class TestPerLocationMetrics:
 class TestCollectErrors:
     def test_two_paths_agree(self, untrained):
         net, normalizer, tracks = untrained
-        errors = collect_errors(net, normalizer, tracks)
+        errors = pool_errors(predicted(net, normalizer, tracks))
         preds = np.concatenate([predict_track(net, normalizer, t) for t in tracks])
         obs = np.concatenate([t.surge for t in tracks])
         mses = mse_per_location(preds, obs)
@@ -106,21 +113,21 @@ class TestCollectErrors:
 
     def test_error_sign_is_pred_minus_obs(self, untrained):
         net, normalizer, tracks = untrained
-        errors = collect_errors(net, normalizer, tracks[:1])
+        errors = pool_errors(predicted(net, normalizer, tracks[:1]))
         manual = predict_track(net, normalizer, tracks[0]) - tracks[0].surge
         np.testing.assert_array_equal(errors[0], manual[:, 0])
 
     def test_window_restricts_row_count(self, untrained):
         net, normalizer, tracks = untrained
-        full = collect_errors(net, normalizer, tracks)
-        window = collect_errors(net, normalizer, tracks, window_days=0.5)
+        series = predicted(net, normalizer, tracks)
+        full = pool_errors(series)
+        window = pool_errors(series, window_days=0.5)
         assert all(e.size == 193 * len(tracks) for e in full)
         assert all(e.size == 49 * len(tracks) for e in window)
 
-    def test_no_tracks_rejected(self, untrained):
-        net, normalizer, _ = untrained
+    def test_no_tracks_rejected(self):
         with pytest.raises(ValueError, match="no tracks"):
-            collect_errors(net, normalizer, [])
+            pool_errors([])
 
     def test_incompatible_checkpoint_rejected(self, untrained):
         _, normalizer, tracks = untrained
@@ -181,12 +188,13 @@ class TestFitKde:
         approx = np.interp(probe, pdf.grid, pdf.density)
         np.testing.assert_allclose(approx, direct, atol=5e-3 * direct.max())
 
-    def test_records_the_samples(self):
-        e = Rng(16).normal(size=64)
-        pdf = fit_kde(e, location=4)
+    def test_records_location_and_cdf(self):
+        pdf = fit_kde(Rng(16).normal(size=64), location=4)
         assert pdf.location == 4
-        assert pdf.n_samples == 64
-        np.testing.assert_array_equal(pdf.samples, e)
+        assert pdf.cdf.shape == pdf.grid.shape
+        assert pdf.cdf[0] == 0.0
+        assert np.all(np.diff(pdf.cdf) >= 0)
+        assert abs(pdf.cdf[-1] - np.trapezoid(pdf.density, pdf.grid)) < 1e-12
 
 
 class TestProbWithin:
@@ -258,6 +266,73 @@ class TestQuantileInterval:
             assert abs(got - want) <= 0.05 * max(want, 1.0)
 
 
+def reference_prob_within(pdf, bound):
+    """prob_within as it was before each density carried its CDF: the
+    trapezoid over the interpolated density on [-bound, bound], redone from
+    the grid on every call. Kept as the reference."""
+    if pdf.point_mass is not None:
+        return 1.0 if abs(pdf.point_mass) <= bound else 0.0
+    a = max(-bound, float(pdf.grid[0]))
+    b = min(bound, float(pdf.grid[-1]))
+    if a >= b:
+        return 0.0
+    inner = pdf.grid[(pdf.grid > a) & (pdf.grid < b)]
+    xs = np.concatenate([[a], inner, [b]])
+    return float(np.trapezoid(np.interp(xs, pdf.grid, pdf.density), xs))
+
+
+def reference_quantile(pdf, mass):
+    """quantile_interval as it was: bisection on reference_prob_within down
+    to a 1e-7 bracket, returning its upper end. Kept as the reference."""
+    if pdf.point_mass is not None:
+        return abs(pdf.point_mass)
+    hi = max(abs(float(pdf.grid[0])), abs(float(pdf.grid[-1])))
+    if reference_prob_within(pdf, hi) < mass:
+        return hi
+    lo = 0.0
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if reference_prob_within(pdf, mid) >= mass:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+SAMPLERS = {
+    "normal": lambda r, n: r.normal(size=n),
+    "uniform": lambda r, n: r.uniform(-1.0, 1.0, size=n),
+    "bimodal": lambda r, n: np.concatenate([r.normal(-1.0, 0.2, n // 2),
+                                            r.normal(1.5, 0.4, n - n // 2)]),
+    "constant": lambda r, n: np.full(n, r.normal()),
+}
+
+
+class TestSummariesMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(SAMPLERS)),
+           n=st.integers(10, 5000),
+           scale=st.floats(-3.0, 2.0).map(lambda x: 10.0 ** x),
+           shift=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2**32 - 1),
+           bound=st.floats(1e-3, 5.0),
+           mass=st.floats(1e-6, 1.0, exclude_max=True))
+    def test_drawn_populations(self, kind, n, scale, shift, seed, bound, mass):
+        pdf = fit_kde(scale * (SAMPLERS[kind](Rng(seed), n) + shift))
+        b = bound * scale
+        assert abs(prob_within(pdf, b) - reference_prob_within(pdf, b)) <= 1e-12
+        for m in (mass, E_STAR_MASS, math.nextafter(1.0, 0.0)):
+            e_star = quantile_interval(pdf, m)
+            ref = reference_quantile(pdf, m)
+            assert ref - 1e-7 <= e_star <= ref
+            if pdf.point_mass is not None:
+                assert e_star == abs(pdf.point_mass)
+            elif prob_within(pdf, ref) < m:  # m is more than the whole grid holds
+                assert e_star == ref == max(abs(pdf.grid[0]), abs(pdf.grid[-1]))
+            else:
+                assert prob_within(pdf, e_star) >= m
+
+
 @pytest.fixture(scope="module")
 def result(untrained):
     net, normalizer, tracks = untrained
@@ -270,8 +345,9 @@ class TestEvaluateAndReport:
         assert len(result.metrics) == 10
         assert len(result.full_pdfs) == 10
         assert len(result.window_pdfs) == 10
-        assert result.full_pdfs[0].n_samples == 193 * 6
-        assert result.window_pdfs[0].n_samples == 49 * 6
+        assert [pdf.location for pdf in result.full_pdfs] == list(range(1, 11))
+        assert all(e.size == 193 * 6 for e in pool_errors(result.series))
+        assert all(e.size == 49 * 6 for e in pool_errors(result.series, result.window_days))
 
     def test_network_runs_once_per_track(self, untrained, monkeypatch):
         net, normalizer, tracks = untrained
@@ -285,12 +361,15 @@ class TestEvaluateAndReport:
         evaluate_tracks(net, normalizer, tracks, label="test")
         assert calls == [t.track_id for t in tracks]
 
-    def test_pools_match_collect_errors(self, result, untrained):
+    def test_pools_match_pool_errors(self, result, untrained):
         net, normalizer, tracks = untrained
+        series = predicted(net, normalizer, tracks)
         for pdfs, window_days in ((result.full_pdfs, None), (result.window_pdfs, 0.5)):
-            pooled = collect_errors(net, normalizer, tracks, window_days)
-            for pdf, errors in zip(pdfs, pooled):
-                np.testing.assert_array_equal(pdf.samples, errors)
+            for pdf, errors in zip(pdfs, pool_errors(series, window_days)):
+                want = fit_kde(errors, location=pdf.location)
+                assert pdf.bandwidth == want.bandwidth
+                for field in ("grid", "density", "cdf"):
+                    np.testing.assert_array_equal(getattr(pdf, field), getattr(want, field))
 
     def test_empty_population_rejected(self, untrained):
         net, normalizer, _ = untrained

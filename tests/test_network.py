@@ -18,7 +18,6 @@ from surgenet.network import (
     CheckpointMeta,
     NetworkParams,
     Normalizer,
-    forward,
     forward_batch,
     init_network,
     load_checkpoint,
@@ -92,7 +91,7 @@ class TestForward:
         net = small_net()
         zeroed = NetworkParams(net.arch, [(np.zeros_like(w), np.zeros_like(b))
                                           for w, b in net.layers])
-        y, hidden = forward(zeroed, np.ones(6))
+        y, hidden = forward_batch(zeroed, np.ones((1, 6)))
         assert np.all(y == 0.0)
         assert np.all(hidden[0] == 0.0)  # tanh(0)
 
@@ -100,7 +99,7 @@ class TestForward:
         net = small_net(activation="sigmoid")
         zeroed = NetworkParams(net.arch, [(np.zeros_like(w), np.zeros_like(b))
                                           for w, b in net.layers])
-        _, hidden = forward(zeroed, np.ones(6))
+        _, hidden = forward_batch(zeroed, np.ones((1, 6)))
         assert np.all(hidden[0] == 0.5)  # sigmoid(0)
 
     def test_zero_preactivation_passes_output_bias(self):
@@ -111,8 +110,8 @@ class TestForward:
             (np.zeros_like(net.layers[0][0]), np.zeros_like(net.layers[0][1])),
             (w_o, b_o),
         ])
-        y, _ = forward(rigged, Rng(1).normal(size=6))
-        np.testing.assert_array_equal(y, b_o)
+        y, _ = forward_batch(rigged, Rng(1).normal(size=6)[None, :])
+        np.testing.assert_array_equal(y[0], b_o)
 
     @pytest.mark.parametrize("hidden", [(4,), (4, 5)])
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
@@ -125,31 +124,30 @@ class TestForward:
             h = act(w @ h + b)
         w_o, b_o = net.layers[-1]
         expected = w_o @ h + b_o
-        y, _ = forward(net, x)
-        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-14)
+        y, _ = forward_batch(net, x[None, :])
+        np.testing.assert_allclose(y[0], expected, rtol=0, atol=1e-14)
 
     def test_output_layer_is_affine_in_its_parameters(self):
         net = small_net(seed=3)
         x = Rng(4).normal(size=6)
         w_o, b_o = net.layers[-1]
-        y1, _ = forward(net, x)
+        y1, _ = forward_batch(net, x[None, :])
         doubled = NetworkParams(net.arch, net.layers[:-1] + [(2.0 * w_o, 2.0 * b_o)])
-        y2, _ = forward(doubled, x)
+        y2, _ = forward_batch(doubled, x[None, :])
         np.testing.assert_allclose(y2, 2.0 * y1, rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError, match="length 6"):
-            forward(small_net(), np.ones(5))
-        with pytest.raises(DimensionMismatchError):
-            forward_batch(small_net(), np.ones((3, 5)))
+        for wrong in (np.ones((1, 5)), np.ones((3, 5)), np.ones(6)):
+            with pytest.raises(DimensionMismatchError, match=r"\(n, 6\)"):
+                forward_batch(small_net(), wrong)
 
     def test_batch_rows_match_single_forward(self):
         net = small_net(hidden=(4, 5))
         xs = Rng(8).normal(size=(7, 6))
         batch_y, _ = forward_batch(net, xs)
         for i in range(7):
-            y, _ = forward(net, xs[i])
-            np.testing.assert_allclose(batch_y[i], y, atol=1e-14)
+            y, _ = forward_batch(net, xs[i][None, :])
+            np.testing.assert_allclose(batch_y[i], y[0], atol=1e-14)
 
 
     def test_out_buffers_reused(self):

@@ -97,9 +97,8 @@ class TestBackprop:
     def test_perfect_prediction_gives_zero_gradient(self):
         net = init_network(Architecture(6, (4,), 10), Rng(3))
         x = Rng(4).normal(size=6)
-        from surgenet.network import forward
-        y, _ = forward(net, x)
-        loss, grads = backprop(net, x, y)
+        y, _ = forward_batch(net, x[None, :])
+        loss, grads = backprop(net, x, y[0])
         assert loss == 0.0
         for gw, gb in grads.layers:
             assert np.all(gw == 0.0)
