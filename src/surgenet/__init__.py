@@ -1,6 +1,6 @@
 """Multi-output feedforward surrogate for coastal storm-surge prediction.
 
-Submodules: numerics (linear algebra, activations, RNG), network (model and
+Submodules: numerics (activations, RNG), network (model, normalizer and
 checkpoints), training (backprop, optimizer, parallel loop), dataset (track
 schema, synthetic corpus), evaluation (metrics and error densities), cli.
 """

@@ -19,7 +19,7 @@ import yaml
 
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
-from .errors import CheckpointError, ConfigError, TrainingDivergedError
+from .errors import CheckpointDimensionError, CheckpointError, ConfigError, TrainingDivergedError
 from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
@@ -215,9 +215,23 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_surge_checkpoint(path):
+    """load_checkpoint, refusing a network that does not map the track
+    schema's input columns to its stations."""
+    ckpt = load_checkpoint(path)
+    arch = ckpt.net.arch
+    want = (len(dataset.INPUT_COLUMNS), dataset.N_STATIONS)
+    if (arch.input_dim, arch.output_dim) != want:
+        raise CheckpointDimensionError(
+            f"{Path(path).name}: network maps {arch.input_dim} inputs to "
+            f"{arch.output_dim} outputs, but tracks have {want[0]} input columns "
+            f"and {want[1]} stations")
+    return ckpt
+
+
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score a checkpoint on one split and write the report CSVs."""
-    ckpt = load_checkpoint(cfg.checkpoint)
+    ckpt = _load_surge_checkpoint(cfg.checkpoint)
     labels = dataset.SPLIT_LABELS if cfg.split == "all" else (cfg.split,)
     tracks = dataset.load_corpus(cfg.corpus_dir, labels).all_tracks()
     result = evaluation.evaluate_tracks(
@@ -235,7 +249,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     """Predict station surge for one storm track CSV (inputs only needed)."""
     if not cfg.track:
         raise ConfigError("predict needs --track (or the 'track' config key)")
-    ckpt = load_checkpoint(cfg.checkpoint)
+    ckpt = _load_surge_checkpoint(cfg.checkpoint)
     raw = dataset.read_input_series(cfg.track)
     inputs = dataset.interpolate_to_grid(raw, f"{Path(cfg.track).name}: ")
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))

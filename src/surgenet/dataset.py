@@ -321,8 +321,6 @@ def split_dataset(tracks, seed: int) -> DatasetSplit:
     """Shuffle deterministically by seed, then partition 70/15/15."""
     tracks = list(tracks)
     n = len(tracks)
-    if n < 3:
-        raise ValueError(f"need at least 3 tracks to split, got {n}")
     ids = [tr.track_id for tr in tracks]
     if len(set(ids)) != n:
         dup = next(i for i in ids if ids.count(i) > 1)
@@ -533,9 +531,10 @@ def write_manifest(entries, path) -> None:
 def read_manifest(path) -> list:
     """Read back (track_id, file, split) entries written by write_manifest.
 
-    Every row is checked: its field count, its split label, and that neither
+    Every row is checked: its field count, its split label, that neither
     its track id nor its file (compared after os.path.normpath) is already
-    taken by an earlier row, so no track file sits in two splits.
+    taken by an earlier row, so no track file sits in two splits, and that
+    the track id is its file's stem, the id load_track_csv gives the track.
     """
     path = Path(path)
     header, lines = _read_csv(path)
@@ -557,6 +556,10 @@ def read_manifest(path) -> list:
         if os.path.normpath(file) in seen_files:
             raise ColumnSchemaError(
                 f"{path.name}: duplicate track file {file!r}", row=r, column="file")
+        if Path(file).stem != track_id:
+            raise ColumnSchemaError(
+                f"{path.name}: track id {track_id!r} is not the stem of its file {file!r}",
+                row=r, column="track_id")
         seen_ids.add(track_id)
         seen_files.add(os.path.normpath(file))
         entries.append((track_id, file, split))
@@ -569,7 +572,7 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     Track i is produced from an independent child generator keyed by
     (seed, i), so any subset of tracks is reproducible in isolation; the
     split shuffle draws from the root stream, which the children never touch.
-    Fewer than 3 tracks cannot be partitioned, so they all land in training.
+    Fewer than 7 tracks leave validation and test empty (split_sizes).
     """
     if n_tracks < 1:
         raise ValueError(f"need at least 1 track, got {n_tracks}")
@@ -581,10 +584,7 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
         generate_track(root.child(i), oracle, track_id=f"track_{i + 1:0{width}d}")
         for i in range(n_tracks)
     ]
-    if n_tracks < 3:
-        split = DatasetSplit(training=tuple(tracks), validation=(), testing=())
-    else:
-        split = split_dataset(tracks, seed=seed)
+    split = split_dataset(tracks, seed=seed)
     label_by_id = {}
     for label, part in zip(SPLIT_LABELS, (split.training, split.validation, split.testing)):
         for tr in part:

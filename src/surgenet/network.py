@@ -124,9 +124,22 @@ class Normalizer:
 
 
 def fit_normalizer(inputs) -> Normalizer:
-    """Population mean/std per column; constant columns standardize to zero."""
-    stats = numerics.column_stats(inputs)
-    return Normalizer(stats.means, stats.stds, stats.constant)
+    """Population mean and std per column of a non-empty (n, cols) block.
+
+    A column whose std falls below 1e-12 is flagged constant and gets
+    std = 1, so it standardizes to exactly zero instead of dividing by
+    (near) zero.
+    """
+    try:
+        data = np.asarray(inputs, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"rows have differing lengths: {exc}") from None
+    if data.ndim != 2 or len(data) == 0:
+        raise DimensionMismatchError(
+            f"expected at least one row of scalars, got shape {data.shape}")
+    stds = data.std(axis=0)
+    constant = stds < 1e-12
+    return Normalizer(data.mean(axis=0), np.where(constant, 1.0, stds), constant)
 
 
 @dataclass(frozen=True)

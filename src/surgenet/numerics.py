@@ -1,19 +1,11 @@
-"""Activations, column statistics, and the seeded random source used
-everywhere else in the package.
+"""Activations and the seeded random source used everywhere else in the
+package.
 
 Everything here is pure: the same inputs (and the same seed path) produce
 bitwise-identical results on every platform.
 """
 
-from typing import NamedTuple
-
 import numpy as np
-
-from .errors import DimensionMismatchError
-
-# Columns whose population std falls below this are treated as constant and
-# standardized with std = 1, so they map to exactly zero.
-CONSTANT_STD_FLOOR = 1e-12
 
 # Largest float64 strictly below 1; saturated activations are pulled onto
 # this so outputs stay strictly inside their open intervals.
@@ -49,34 +41,6 @@ def sigmoid_act(v, out=None) -> np.ndarray:
     np.divide(1.0, out, out=out)
     np.copyto(out, e, where=neg)
     return np.clip(out, _ZERO_ABOVE, _ONE_BELOW, out=out)
-
-
-class ColumnStats(NamedTuple):
-    means: np.ndarray
-    stds: np.ndarray
-    constant: np.ndarray  # bool mask; True where the raw std fell below the floor
-
-
-def column_stats(rows) -> ColumnStats:
-    """Per-column population mean and std over equal-length rows.
-
-    Columns with std below CONSTANT_STD_FLOOR report std = 1 and are flagged
-    constant, so standardizing maps them to exactly zero instead of dividing
-    by (near) zero.
-    """
-    seq = list(rows) if not isinstance(rows, np.ndarray) else rows
-    if len(seq) == 0:
-        raise ValueError("column_stats requires at least one row")
-    try:
-        data = np.asarray(seq, dtype=np.float64)
-    except ValueError as exc:
-        raise DimensionMismatchError(f"rows have differing lengths: {exc}") from None
-    if data.ndim != 2:
-        raise DimensionMismatchError(f"expected rows of scalars, got shape {data.shape}")
-    means = data.mean(axis=0)
-    stds = data.std(axis=0)
-    constant = stds < CONSTANT_STD_FLOOR
-    return ColumnStats(means, np.where(constant, 1.0, stds), constant)
 
 
 def _generator_for(path: tuple) -> np.random.Generator:

@@ -77,13 +77,6 @@ class TrainConfig:
 
 
 @dataclass
-class GradientSet:
-    """Loss gradients, shaped exactly like NetworkParams.layers."""
-
-    layers: list
-
-
-@dataclass
 class AdamState:
     """First/second moment estimates and the shared step counter."""
 
@@ -124,17 +117,15 @@ def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None
 
 
 def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                    buffers: _StepBuffers | None = None) -> tuple:
-    """Mean squared error over all rows and outputs, and its exact gradient.
+                    buffers: _StepBuffers) -> tuple:
+    """Mean squared error over all rows and outputs, and its exact gradient
+    as (gw, gb) pairs shaped like net.layers.
 
     x is (n, input_dim) of normalized inputs, t is (n, output_dim). The
-    intermediates go into buffers, which must have room for n rows, or into
-    arrays allocated for this call. The returned loss and gradients never
-    alias the buffers.
+    intermediates go into buffers, which must have room for n rows. The
+    returned loss and gradients never alias the buffers.
     """
     n = x.shape[0]
-    if buffers is None:
-        buffers = _StepBuffers(net.arch, n)
     outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs])
     k = outputs.shape[1]
     diff = np.subtract(outputs, t, out=outputs)
@@ -158,19 +149,14 @@ def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
             _slope_in_place(net.arch.activation, slope, next_delta)
             delta = np.matmul(delta, w, out=next_delta)
             delta *= slope
-    return loss, GradientSet(grads)
+    return loss, grads
 
 
-def backprop(net: NetworkParams, x, target) -> tuple:
-    """Loss and exact gradients for a single (input, target) row."""
-    xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    tv = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return _batch_backprop(net, xv, tv)
-
-
-def adam_step(net: NetworkParams, grads: GradientSet, state: AdamState,
+def adam_step(net: NetworkParams, grads: list, state: AdamState,
               lr: float, cfg: TrainConfig) -> tuple:
     """One adaptive-moment update; returns (new params, new state).
+
+    grads holds one (gw, gb) pair per layer, shaped like net.layers.
 
     Moments: m <- b1*m + (1-b1)*g and v <- b2*v + (1-b2)*g^2, bias-corrected
     by 1-b^t; the step is lr * m_hat / (sqrt(v_hat) + eps).
@@ -180,7 +166,7 @@ def adam_step(net: NetworkParams, grads: GradientSet, state: AdamState,
     bc2 = 1.0 - cfg.adam_beta2 ** t
     new_layers, new_m, new_v = [], [], []
     for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-            net.layers, grads.layers, state.m, state.v):
+            net.layers, grads, state.m, state.v):
         mw = cfg.adam_beta1 * mw + (1.0 - cfg.adam_beta1) * gw
         mb = cfg.adam_beta1 * mb + (1.0 - cfg.adam_beta1) * gb
         vw = cfg.adam_beta2 * vw + (1.0 - cfg.adam_beta2) * (gw * gw)
@@ -193,43 +179,39 @@ def adam_step(net: NetworkParams, grads: GradientSet, state: AdamState,
     return NetworkParams(net.arch, new_layers), AdamState(new_m, new_v, t)
 
 
-def sample_batch(rng: Rng, data: tuple, batch_tracks: int, out=None) -> tuple:
-    """Draw batch_tracks distinct tracks uniformly and gather all their rows.
+def sample_batch(rng: Rng, data: tuple, batch_tracks: int, out: tuple) -> tuple:
+    """Draw batch_tracks distinct tracks uniformly and gather all their rows
+    into out.
 
     data is (inputs, targets), each stacked per track as (tracks, rows,
-    cols). Returns (inputs (n, input cols), targets (n, target cols)) with
-    n = batch_tracks * rows; out, if given, is an (inputs, targets) pair
-    shaped (batch_tracks, rows, cols) that receives them. Batches always
-    contain whole tracks, never partial ones.
+    cols); out is an (inputs, targets) pair shaped (batch_tracks, rows,
+    cols). Returns views of out as (inputs (n, input cols), targets (n,
+    target cols)) with n = batch_tracks * rows. Batches always contain whole
+    tracks, never partial ones.
     """
     inputs, targets = data
     if batch_tracks > len(inputs):
         raise ValueError(
             f"batch of {batch_tracks} tracks requested but only {len(inputs)} available")
     idx = rng.choice_without_replacement(len(inputs), batch_tracks)
-    x_out, t_out = (None, None) if out is None else out
     # idx is in range by construction; mode="clip" only skips the bounds
     # check, which would gather through a temporary copy instead of into out.
-    x = np.take(inputs, idx, axis=0, out=x_out, mode="clip")
-    t = np.take(targets, idx, axis=0, out=t_out, mode="clip")
+    x = np.take(inputs, idx, axis=0, out=out[0], mode="clip")
+    t = np.take(targets, idx, axis=0, out=out[1], mode="clip")
     return x.reshape(-1, x.shape[-1]), t.reshape(-1, t.shape[-1])
 
 
-def _shard_bounds(n_rows: int, shards: int) -> list:
-    """Contiguous near-equal shards; the first n % w shards get one extra row."""
-    w = min(shards, n_rows)
-    base, extra = divmod(n_rows, w)
+def _tile_bounds(n_rows: int, most: int) -> list:
+    """The fewest contiguous near-equal shards of at most `most` rows each;
+    the first n_rows % shards of them get one extra row."""
+    shards = -(-n_rows // most)
+    base, extra = divmod(n_rows, shards)
     bounds, lo = [], 0
-    for i in range(w):
+    for i in range(shards):
         hi = lo + base + (1 if i < extra else 0)
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def _tile_bounds(n_rows: int, most: int) -> list:
-    """The fewest contiguous near-equal shards of at most `most` rows each."""
-    return _shard_bounds(n_rows, -(-n_rows // most))
 
 
 def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
@@ -240,13 +222,13 @@ def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
         w = hi - lo
         loss += w * shard_loss
         if acc is None:
-            acc = [[w * gw, w * gb] for gw, gb in shard_grads.layers]
+            acc = [[w * gw, w * gb] for gw, gb in shard_grads]
         else:
-            for slot, (gw, gb) in zip(acc, shard_grads.layers):
+            for slot, (gw, gb) in zip(acc, shard_grads):
                 slot[0] += w * gw
                 slot[1] += w * gb
     scale = 1.0 / n_rows
-    return loss * scale, GradientSet([(gw * scale, gb * scale) for gw, gb in acc])
+    return loss * scale, [(gw * scale, gb * scale) for gw, gb in acc]
 
 
 class _StepExecutor:
@@ -255,8 +237,7 @@ class _StepExecutor:
     sized to it, and, when more than one worker gets a shard, the thread
     pool of min(workers, shards) threads that runs them.
 
-    Nothing here outlives the call that owns it: train() or one
-    _parallel_loss_grads().
+    Nothing here outlives the train() call that owns it.
     """
 
     def __init__(self, arch: Architecture, n_rows: int, workers: int):
@@ -270,46 +251,24 @@ class _StepExecutor:
             self.pool.shutdown()
 
 
-def _parallel_loss_grads(net, x, t, workers, executor=None) -> tuple:
+def _parallel_loss_grads(net, x, t, workers, executor) -> tuple:
     """Mean loss and gradient of a batch, computed shard by shard.
 
     executor is the _StepExecutor of a train() call, made for x's row count
-    and workers; without one, a call-scoped one is made and shut down.
-    Without a pool (one worker or one shard) the shards run in order on the
-    calling thread; with one they run on its threads.
+    and workers. Without a pool (one worker or one shard) the shards run in
+    order on the calling thread; with one they run on its threads. workers
+    itself is not read here, but the benchmark's tracer tags each call's
+    span from it (benchmark/spans.py::_shard_count), so it keeps its place
+    in the signature.
     """
-    n_rows = x.shape[0]
-    if n_rows == 0:
-        raise ValueError("cannot compute gradients for an empty batch")
-    owned = executor is None
-    if owned:
-        executor = _StepExecutor(net.arch, n_rows, workers)
-    try:
-        # Shards only read net; results are reduced in shard order regardless
-        # of completion order, so neither scheduling nor the thread count can
-        # change the outcome.
-        jobs = [(x[lo:hi], t[lo:hi], buffers)
-                for (lo, hi), buffers in zip(executor.bounds, executor.buffers)]
-        mapper = map if executor.pool is None else executor.pool.map
-        results = list(mapper(lambda job: _batch_backprop(net, *job), jobs))
-        return _weighted_mean_grads(results, executor.bounds, n_rows)
-    finally:
-        if owned:
-            executor.shutdown()
-
-
-def parallel_gradient(net: NetworkParams, batch: tuple, workers: int) -> GradientSet:
-    """Mean gradient of a batch whose shards run on `workers` threads.
-
-    Bit for bit the same for every worker count.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    x, t = batch
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    _, grads = _parallel_loss_grads(net, x, t, workers)
-    return grads
+    # Shards only read net; results are reduced in shard order regardless of
+    # completion order, so neither scheduling nor the thread count can change
+    # the outcome.
+    jobs = [(x[lo:hi], t[lo:hi], buffers)
+            for (lo, hi), buffers in zip(executor.bounds, executor.buffers)]
+    mapper = map if executor.pool is None else executor.pool.map
+    results = list(mapper(lambda job: _batch_backprop(net, *job), jobs))
+    return _weighted_mean_grads(results, executor.bounds, x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -323,15 +282,12 @@ class HistoryRow:
 
 
 def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                 buffers: _StepBuffers | None = None) -> float:
+                 buffers: _StepBuffers) -> float:
     """Mean squared error over all rows and outputs of (x, t).
 
-    The rows run forward in tiles as large as buffers holds (or TILE_ROWS
-    rows, without buffers), each into buffers, and the tiles' sums of
-    squares are added in tile order.
+    The rows run forward in tiles as large as buffers holds, each into
+    buffers, and the tiles' sums of squares are added in tile order.
     """
-    if buffers is None:
-        buffers = _StepBuffers(net.arch, min(len(x), TILE_ROWS))
     total = 0.0
     for lo, hi in _tile_bounds(len(x), len(buffers.squares)):
         n = hi - lo

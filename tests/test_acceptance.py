@@ -43,12 +43,13 @@ from surgenet.numerics import Rng
 from surgenet.training import (
     DEFAULT_SEED,
     AdamState,
-    GradientSet,
     TrainConfig,
+    _batch_backprop,
+    _parallel_loss_grads,
+    _StepBuffers,
+    _StepExecutor,
     adam_step,
-    backprop,
     fit_normalizer,
-    parallel_gradient,
     train,
 )
 
@@ -108,19 +109,21 @@ def test_01_gradient_correctness():
         hidden = (h1,) if i % 2 else (h1, h2)
         activation = "tanh" if i % 3 else "sigmoid"
         net = init_network(Architecture(n_in, hidden, n_out, activation), dims.child(i))
-        x = points.normal(size=n_in)
-        t = points.normal(size=n_out)
-        _, grads = backprop(net, x, t)
+        # One (input, target) row through the training step's backprop.
+        x = points.normal(size=(1, n_in))
+        t = points.normal(size=(1, n_out))
+        buffers = _StepBuffers(net.arch, 1)
+        _, grads = _batch_backprop(net, x, t, buffers)
         for li, (w, b) in enumerate(net.layers):
-            for arr, ga in ((w, grads.layers[li][0]), (b, grads.layers[li][1])):
+            for arr, ga in ((w, grads[li][0]), (b, grads[li][1])):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + step
-                    up, _ = backprop(net, x, t)
+                    up, _ = _batch_backprop(net, x, t, buffers)
                     arr[ix] = orig - step
-                    dn, _ = backprop(net, x, t)
+                    dn, _ = _batch_backprop(net, x, t, buffers)
                     arr[ix] = orig
                     fd = (up - dn) / (2 * step)
                     # Relative error with an absolute floor: near-zero
@@ -137,17 +140,24 @@ def test_02_parallel_gradient_equivalence(ci_corpus):
     """Sharded gradients equal the single-worker gradient; training is
     reproducible across worker counts."""
     t0 = time.perf_counter()
-    net = init_network(Architecture(6, (32, 64), 10), Rng(201))
+    arch = Architecture(6, (32, 64), 10)
+    net = init_network(arch, Rng(201))
     batches = Rng(202)
+    rows = 32 * 193  # 4 shards, so every worker count above 1 runs a pool
+    executors = {workers: _StepExecutor(arch, rows, workers) for workers in (1, 2, 3, 4, 8)}
     worst = 0.0
-    for _ in range(3):
-        x = batches.normal(size=(4 * 193, 6))
-        t = batches.normal(size=(4 * 193, 10))
-        ref = parallel_gradient(net, (x, t), 1)
-        for workers in (2, 3, 4, 8):
-            got = parallel_gradient(net, (x, t), workers)
-            for (rw, rb), (gw, gb) in zip(ref.layers, got.layers):
-                worst = max(worst, np.abs(rw - gw).max(), np.abs(rb - gb).max())
+    try:
+        for _ in range(3):
+            x = batches.normal(size=(rows, 6))
+            t = batches.normal(size=(rows, 10))
+            _, ref = _parallel_loss_grads(net, x, t, 1, executors[1])
+            for workers in (2, 3, 4, 8):
+                _, got = _parallel_loss_grads(net, x, t, workers, executors[workers])
+                for (rw, rb), (gw, gb) in zip(ref, got):
+                    worst = max(worst, np.abs(rw - gw).max(), np.abs(rb - gb).max())
+    finally:
+        for executor in executors.values():
+            executor.shutdown()
 
     def train_with(workers):
         cfg = TrainConfig(arch=Architecture(6, (32, 64), 10), epochs=100,
@@ -261,8 +271,7 @@ def test_07_adam_sanity():
     state = AdamState.zeros(net)
     steps = 0
     for steps in range(1, 2001):
-        grads = GradientSet([(2.0 * (w - 3.0), 2.0 * (b - 3.0))
-                             for w, b in net.layers])
+        grads = [(2.0 * (w - 3.0), 2.0 * (b - 3.0)) for w, b in net.layers]
         net, state = adam_step(net, grads, state, 0.1, cfg)
         gap = max(max(np.abs(w - 3.0).max(), np.abs(b - 3.0).max())
                   for w, b in net.layers)

@@ -10,6 +10,14 @@ import pytest
 
 from surgenet import cli
 from surgenet.dataset import read_manifest, tau_grid
+from surgenet.network import (
+    Architecture,
+    CheckpointMeta,
+    Normalizer,
+    init_network,
+    save_checkpoint,
+)
+from surgenet.numerics import Rng
 
 
 def run(capsys, *argv):
@@ -308,6 +316,28 @@ class TestPredict:
                               "--out", str(tmp_path / "p.csv"))
         assert code == 1
         assert "--track" in stderr
+
+
+class TestCheckpointShape:
+    """evaluate and predict refuse a network that does not map the six input
+    columns to the ten stations."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("input_dim,output_dim", [(6, 3), (5, 10)])
+    def test_refused_with_file_named(self, tmp_path, workspace, capsys, command,
+                                     input_dim, output_dim):
+        ckpt = tmp_path / "odd.json"
+        net = init_network(Architecture(input_dim, (4,), output_dim), Rng(1))
+        norm = Normalizer(np.zeros(input_dim), np.ones(input_dim), np.zeros(input_dim, bool))
+        save_checkpoint(net, norm, CheckpointMeta(1, 1, 0.5), ckpt)
+        source = (["--corpus", str(workspace / "corpus")] if command == "evaluate"
+                  else ["--track", str(workspace / "corpus" / "track_0001.csv")])
+        code, _, stderr = run(capsys, command, "--checkpoint", str(ckpt), *source,
+                              "--out", str(tmp_path / "out"))
+        assert (code, stderr) == (
+            1, f"error: odd.json: network maps {input_dim} inputs to {output_dim} outputs, "
+               "but tracks have 6 input columns and 10 stations\n")
+        assert not (tmp_path / "out").exists()
 
 
 LONG_FIELD = "x" * 200_000  # over csv's default limit of 131,072 characters

@@ -259,9 +259,12 @@ class TestSplit:
         b = split_dataset(tracks, seed=4)
         assert [t.track_id for t in a.training] != [t.track_id for t in b.training]
 
-    def test_too_few_tracks_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            split_dataset(make_tracks(2), seed=0)
+    def test_one_or_two_tracks_all_go_to_training(self):
+        for n in (1, 2):
+            tracks = make_tracks(n)
+            split = split_dataset(tracks, seed=0)
+            assert sorted(t.track_id for t in split.training) == [t.track_id for t in tracks]
+            assert split.validation == () and split.testing == ()
 
     def test_duplicate_ids_rejected(self):
         tracks = make_tracks(4)
@@ -573,6 +576,16 @@ class TestManifest:
         with pytest.raises(ColumnSchemaError, match=r"manifest\.csv: duplicate track file "
                                                     r"'\./sub/\.\./track_0001\.csv' \| row 2 "
                                                     r"\| column 'file'"):
+            read_manifest(path)
+
+    def test_id_that_is_not_the_file_stem_named(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("track_id,file,split\n"
+                        "track_0001,sub/track_0001.csv,train\n"
+                        "track_0002,track_0003.csv,val\n")
+        with pytest.raises(ColumnSchemaError, match=r"manifest\.csv: track id 'track_0002' is "
+                                                    r"not the stem of its file 'track_0003\.csv' "
+                                                    r"\| row 1 \| column 'track_id'"):
             read_manifest(path)
 
 

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from surgenet.errors import DimensionMismatchError
-from surgenet.numerics import (
-    ColumnStats,
-    Rng,
-    column_stats,
-    sigmoid_act,
-    tanh_act,
-)
+from surgenet.network import fit_normalizer
+from surgenet.numerics import Rng, sigmoid_act, tanh_act
 
 
 class TestActivations:
@@ -69,45 +64,44 @@ class TestActivations:
 
 
 class TestColumnStats:
+    """The per-column statistics that network.fit_normalizer computes."""
+
     def test_hand_case_single_column(self):
-        stats = column_stats([[0.0], [2.0]])
+        stats = fit_normalizer([[0.0], [2.0]])
         assert stats.means.tolist() == [1.0]
         assert stats.stds.tolist() == [1.0]  # population std
-        assert stats.constant.tolist() == [False]
+        assert stats.constant_flags.tolist() == [False]
 
     def test_constant_column_flagged_with_std_one(self):
-        stats = column_stats([[1.0, 10.0], [3.0, 10.0]])
+        stats = fit_normalizer([[1.0, 10.0], [3.0, 10.0]])
         assert stats.means.tolist() == [2.0, 10.0]
         assert stats.stds.tolist() == [1.0, 1.0]
-        assert stats.constant.tolist() == [False, True]
+        assert stats.constant_flags.tolist() == [False, True]
 
     def test_all_rows_identical(self):
-        stats = column_stats([[4.0, -1.0]] * 5)
-        assert stats.constant.tolist() == [True, True]
+        stats = fit_normalizer([[4.0, -1.0]] * 5)
+        assert stats.constant_flags.tolist() == [True, True]
         assert stats.stds.tolist() == [1.0, 1.0]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
-            column_stats([])
+            fit_normalizer([])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            column_stats([[1.0, 2.0], [1.0]])
+            fit_normalizer([[1.0, 2.0], [1.0]])
 
     def test_standardization_centers_and_scales(self):
         data = Rng(3).normal(5.0, 2.5, size=(500, 4))
-        stats = column_stats(data)
+        stats = fit_normalizer(data)
         z = (data - stats.means) / stats.stds
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
 
-    def test_returns_named_tuple(self):
-        assert isinstance(column_stats([[1.0], [2.0]]), ColumnStats)
-
     def test_purity(self):
         data = [[1.0, 2.0], [3.0, 5.0], [0.5, 2.5]]
-        a = column_stats(data)
-        b = column_stats(data)
+        a = fit_normalizer(data)
+        b = fit_normalizer(data)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.stds, b.stds)
 

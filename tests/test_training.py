@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -19,17 +20,14 @@ from surgenet.numerics import Rng
 from surgenet.training import (
     TILE_ROWS,
     AdamState,
-    GradientSet,
     TrainConfig,
     _batch_backprop,
     _dataset_mse,
     _parallel_loss_grads,
-    _shard_bounds,
     _StepBuffers,
     _StepExecutor,
+    _tile_bounds,
     adam_step,
-    backprop,
-    parallel_gradient,
     sample_batch,
     train,
     write_history,
@@ -60,6 +58,27 @@ def zero_net(arch):
 def stacked(tracks):
     """Tracks stacked as sample_batch expects: (inputs, targets) per track."""
     return np.stack([tr.inputs for tr in tracks]), np.stack([tr.surge for tr in tracks])
+
+
+def draw_batch(rng, data, batch_tracks):
+    """sample_batch into freshly allocated arrays of the batch's shape."""
+    out = tuple(np.empty((batch_tracks, *part.shape[1:])) for part in data)
+    return sample_batch(rng, data, batch_tracks, out)
+
+
+def row_backprop(net, x, t):
+    """Loss and gradients of one (input, target) row through the training step."""
+    return _batch_backprop(net, np.reshape(x, (1, -1)), np.reshape(t, (1, -1)),
+                           _StepBuffers(net.arch, 1))
+
+
+def sharded_loss_grads(net, x, t, workers):
+    """The training step on a _StepExecutor made for this batch and workers."""
+    executor = _StepExecutor(net.arch, len(x), workers)
+    try:
+        return _parallel_loss_grads(net, x, t, workers, executor)
+    finally:
+        executor.shutdown()
 
 
 def max_layer_diff(a, b):
@@ -98,9 +117,9 @@ class TestBackprop:
         net = init_network(Architecture(6, (4,), 10), Rng(3))
         x = Rng(4).normal(size=6)
         y, _ = forward_batch(net, x[None, :])
-        loss, grads = backprop(net, x, y[0])
+        loss, grads = row_backprop(net, x, y[0])
         assert loss == 0.0
-        for gw, gb in grads.layers:
+        for gw, gb in grads:
             assert np.all(gw == 0.0)
             assert np.all(gb == 0.0)
 
@@ -108,13 +127,13 @@ class TestBackprop:
         arch = Architecture(6, (4,), 10)
         net = zero_net(arch)
         t = np.arange(1.0, 11.0)
-        loss, grads = backprop(net, np.ones(6), t)
+        loss, grads = row_backprop(net, np.ones(6), t)
         assert math.isclose(loss, float((t * t).mean()), rel_tol=1e-15)
         # Output stays 0, hidden activations are 0, so only the output bias
         # receives gradient: d/db mean((0 - t)^2) = -2 t / K.
-        np.testing.assert_allclose(grads.layers[-1][1], -2.0 * t / 10.0, rtol=1e-15)
-        assert np.all(grads.layers[-1][0] == 0.0)
-        assert np.all(grads.layers[0][0] == 0.0)
+        np.testing.assert_allclose(grads[-1][1], -2.0 * t / 10.0, rtol=1e-15)
+        assert np.all(grads[-1][0] == 0.0)
+        assert np.all(grads[0][0] == 0.0)
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     def test_matches_finite_differences(self, activation):
@@ -122,18 +141,18 @@ class TestBackprop:
         net = init_network(arch, Rng(7))
         x = Rng(8).normal(size=5)
         t = Rng(9).normal(size=2)
-        _, grads = backprop(net, x, t)
+        _, grads = row_backprop(net, x, t)
         step = 1e-6
         for li, (w, b) in enumerate(net.layers):
-            for arr, ga in ((w, grads.layers[li][0]), (b, grads.layers[li][1])):
+            for arr, ga in ((w, grads[li][0]), (b, grads[li][1])):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + step
-                    up, _ = backprop(net, x, t)
+                    up, _ = row_backprop(net, x, t)
                     arr[ix] = orig - step
-                    dn, _ = backprop(net, x, t)
+                    dn, _ = row_backprop(net, x, t)
                     arr[ix] = orig
                     fd = (up - dn) / (2 * step)
                     denom = max(abs(fd), abs(ga[ix]), 1e-3)
@@ -143,9 +162,8 @@ class TestBackprop:
         net = init_network(Architecture(6, (4,), 10), Rng(5))
         xs = Rng(6).normal(size=(8, 6))
         ts = Rng(7).normal(size=(8, 10))
-        losses = [backprop(net, xs[i], ts[i])[0] for i in range(8)]
-        from surgenet.training import _batch_backprop
-        batch_loss, _ = _batch_backprop(net, xs, ts)
+        losses = [row_backprop(net, xs[i], ts[i])[0] for i in range(8)]
+        batch_loss, _ = _batch_backprop(net, xs, ts, _StepBuffers(net.arch, 8))
         assert math.isclose(batch_loss, float(np.mean(losses)), rel_tol=1e-12)
 
 
@@ -156,7 +174,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         net = init_network(Architecture(6, (4,), 10), Rng(1))
         state = AdamState.zeros(net)
-        zero = GradientSet([(np.zeros_like(w), np.zeros_like(b)) for w, b in net.layers])
+        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in net.layers]
         new_net, new_state = adam_step(net, zero, state, 0.01, self.cfg())
         assert max_layer_diff(net.layers, new_net.layers) == 0.0
         assert new_state.t == 1
@@ -164,7 +182,7 @@ class TestAdam:
     def test_first_step_bounded_by_learning_rate(self):
         net = init_network(Architecture(6, (4,), 10), Rng(2))
         state = AdamState.zeros(net)
-        _, grads = backprop(net, Rng(3).normal(size=6), Rng(4).normal(size=10))
+        _, grads = row_backprop(net, Rng(3).normal(size=6), Rng(4).normal(size=10))
         lr = 0.01
         new_net, _ = adam_step(net, grads, state, lr, self.cfg())
         assert max_layer_diff(net.layers, new_net.layers) <= lr
@@ -173,7 +191,7 @@ class TestAdam:
         net = init_network(Architecture(6, (4,), 10), Rng(5))
         before = [(w.copy(), b.copy()) for w, b in net.layers]
         state = AdamState.zeros(net)
-        _, grads = backprop(net, Rng(6).normal(size=6), Rng(7).normal(size=10))
+        _, grads = row_backprop(net, Rng(6).normal(size=6), Rng(7).normal(size=10))
         adam_step(net, grads, state, 0.01, self.cfg())
         assert max_layer_diff(net.layers, before) == 0.0
         assert state.t == 0
@@ -186,7 +204,7 @@ class TestAdam:
         state = AdamState.zeros(net)
         cfg = self.cfg(learning_rate=0.05)
         for _ in range(2000):
-            grads = GradientSet([(2.0 * w, 2.0 * b) for w, b in net.layers])
+            grads = [(2.0 * w, 2.0 * b) for w, b in net.layers]
             net, state = adam_step(net, grads, state, cfg.learning_rate, cfg)
         worst = max(max(np.abs(w).max(), np.abs(b).max()) for w, b in net.layers)
         assert worst < 1e-3
@@ -195,7 +213,7 @@ class TestAdam:
 class TestBatchSampling:
     def test_full_batch_uses_every_track_once(self):
         tracks = make_tracks(5)
-        x, t = sample_batch(Rng(10), stacked(tracks), 5)
+        x, t = draw_batch(Rng(10), stacked(tracks), 5)
         assert x.shape == (5 * 193, 6)
         assert t.shape == (5 * 193, 10)
         expected = {tr.inputs[0].tobytes() for tr in tracks}
@@ -204,44 +222,47 @@ class TestBatchSampling:
 
     def test_whole_track_row_count(self):
         tracks = make_tracks(4)
-        x, _ = sample_batch(Rng(11), stacked(tracks), 3)
+        x, _ = draw_batch(Rng(11), stacked(tracks), 3)
         assert x.shape[0] == 3 * 193
 
     def test_same_seed_same_batch(self):
         tracks = make_tracks(6)
-        x1, t1 = sample_batch(Rng(12), stacked(tracks), 4)
-        x2, t2 = sample_batch(Rng(12), stacked(tracks), 4)
+        x1, t1 = draw_batch(Rng(12), stacked(tracks), 4)
+        x2, t2 = draw_batch(Rng(12), stacked(tracks), 4)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(t1, t2)
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(ValueError, match="only 2 available"):
-            sample_batch(Rng(13), stacked(make_tracks(2)), 3)
+            draw_batch(Rng(13), stacked(make_tracks(2)), 3)
 
     def test_gathers_into_out(self):
         data = stacked(make_tracks(6))
-        x, t = sample_batch(Rng(14), data, 4)
+        idx = Rng(14).choice_without_replacement(6, 4)
         out = (np.empty((4, 193, 6)), np.empty((4, 193, 10)))
-        x_out, t_out = sample_batch(Rng(14), data, 4, out=out)
-        np.testing.assert_array_equal(x_out, x)
-        np.testing.assert_array_equal(t_out, t)
+        x_out, t_out = sample_batch(Rng(14), data, 4, out)
+        np.testing.assert_array_equal(x_out, data[0][idx].reshape(-1, 6))
+        np.testing.assert_array_equal(t_out, data[1][idx].reshape(-1, 10))
         assert np.shares_memory(x_out, out[0]) and np.shares_memory(t_out, out[1])
 
 
 class TestSharding:
     def test_uneven_split(self):
-        assert _shard_bounds(5, 2) == [(0, 3), (3, 5)]
+        assert _tile_bounds(5, 3) == [(0, 3), (3, 5)]
 
     def test_remainder_goes_to_leading_shards(self):
-        bounds = _shard_bounds(10, 4)
+        bounds = _tile_bounds(10, 3)
         assert [hi - lo for lo, hi in bounds] == [3, 3, 2, 2]
 
     def test_more_workers_than_rows(self):
-        assert _shard_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
+        # Three rows are one shard, and one shard needs no pool.
+        executor = _StepExecutor(Architecture(6, (4,), 10), 3, 8)
+        assert executor.bounds == [(0, 3)]
+        assert executor.pool is None
 
     def test_covers_range_exactly(self):
-        for n, w in ((193, 4), (617, 8), (32, 32)):
-            bounds = _shard_bounds(n, w)
+        for n, most in ((193, 49), (617, 78), (32, 1)):
+            bounds = _tile_bounds(n, most)
             assert bounds[0][0] == 0 and bounds[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
@@ -252,28 +273,26 @@ class TestParallelGradient:
         net = init_network(Architecture(6, (8, 8), 10), Rng(20))
         x = Rng(21).normal(size=(13 * 193, 6))
         t = Rng(22).normal(size=(13 * 193, 10))
-        ref = parallel_gradient(net, (x, t), 1)
+        ref_loss, ref = sharded_loss_grads(net, x, t, 1)
         for workers in (2, 3, 4, 8):
-            got = parallel_gradient(net, (x, t), workers)
-            assert max_layer_diff(ref.layers, got.layers) == 0.0
+            loss, got = sharded_loss_grads(net, x, t, workers)
+            assert loss == ref_loss
+            assert max_layer_diff(ref, got) == 0.0
 
-    def test_empty_batch_rejected(self):
-        net = init_network(Architecture(6, (4,), 10), Rng(23))
-        with pytest.raises(ValueError, match="empty"):
-            parallel_gradient(net, (np.empty((0, 6)), np.empty((0, 10))), 2)
-
-    def test_call_scoped_pool_is_shut_down(self):
-        net = init_network(Architecture(6, (4,), 10), Rng(25))
-        x = Rng(26).normal(size=(TILE_ROWS + 1, 6))  # 2 shards, so a pool is made
-        t = Rng(27).normal(size=(TILE_ROWS + 1, 10))
+    # numpy warns of the diverging run's overflow on the pool threads, where
+    # an np.errstate here does not reach.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_pool_thread_outlives_train(self):
+        # 12 tracks are 2316 rows: 2 shards, run on a pool of 2 threads.
+        cfg = TrainConfig(arch=Architecture(6, (8,), 10), epochs=3, batch_tracks=12,
+                          workers=2, validation_every=0, seed=5)
+        split = make_split(12)
         threads = threading.active_count()
-        parallel_gradient(net, (x, t), 2)
+        train(cfg, split)
         assert threading.active_count() == threads
-
-    def test_worker_count_validated(self):
-        net = init_network(Architecture(6, (4,), 10), Rng(24))
-        with pytest.raises(ValueError, match=">= 1"):
-            parallel_gradient(net, (np.ones((2, 6)), np.ones((2, 10))), 0)
+        with pytest.raises(TrainingDivergedError, match="epoch 2$"):
+            train(dataclasses.replace(cfg, learning_rate=1e300), split)
+        assert threading.active_count() == threads
 
 
 class TestTrainConfig:
@@ -334,7 +353,9 @@ class TestTrain:
         # Re-evaluating the stored parameters reproduces the recorded minimum.
         val_x = ck.normalizer.apply(np.concatenate([t.inputs for t in split.validation]))
         val_t = np.concatenate([t.surge for t in split.validation])
-        assert math.isclose(_dataset_mse(ck.net, val_x, val_t), best_val, rel_tol=1e-12)
+        buffers = _StepBuffers(ck.net.arch, len(val_x))
+        assert math.isclose(_dataset_mse(ck.net, val_x, val_t, buffers), best_val,
+                            rel_tol=1e-12)
 
     def test_validation_can_be_disabled(self, split):
         cfg = self.small_cfg(validation_every=0, epochs=30)
@@ -455,8 +476,7 @@ def _reference_loss_grads(net, x, t):
     """The reference step over the fixed shards, reduced in shard order by
     shard size; the same for every worker count."""
     loss, acc = 0.0, None
-    shards = -(-len(x) // TILE_ROWS)
-    for lo, hi in _shard_bounds(len(x), shards):
+    for lo, hi in _tile_bounds(len(x), TILE_ROWS):
         shard_loss, shard_grads = _reference_step(net, x[lo:hi], t[lo:hi])
         w = hi - lo
         loss += w * shard_loss
@@ -498,19 +518,17 @@ class TestBufferedStep:
         if scale > 1.0 and activation == "tanh":
             assert np.any(np.abs(_reference_forward(net, x)[1][0]) == _ONE_BELOW)
 
-        loss, grads = _batch_backprop(net, x, t)
-        assert loss == ref_loss
-        assert_same_grads(grads.layers, ref_grads)
-
-        roomy = _StepBuffers(arch, len(x) + 5)  # buffers larger than the batch
-        loss, grads = _batch_backprop(net, x, t, roomy)
-        assert loss == ref_loss
-        assert_same_grads(grads.layers, ref_grads)
+        # Buffers of the batch's size, and larger than the batch.
+        for rows in (len(x), len(x) + 5):
+            loss, grads = _batch_backprop(net, x, t, _StepBuffers(arch, rows))
+            assert loss == ref_loss
+            assert_same_grads(grads, ref_grads)
 
         expected_loss, expected = _reference_loss_grads(net, x, t)
         for workers in (1, 2):
-            assert_same_grads(parallel_gradient(net, (x, t), workers).layers, expected)
-            assert _parallel_loss_grads(net, x, t, workers)[0] == expected_loss
+            loss, grads = sharded_loss_grads(net, x, t, workers)
+            assert loss == expected_loss
+            assert_same_grads(grads, expected)
 
     # 23 tracks are 4439 rows: shards of 1480, 1480 and 1479 rows, run on 1,
     # 2 and 3 threads.
@@ -524,15 +542,15 @@ class TestBufferedStep:
             first = random_batch(arch, 23, 33)
             second = random_batch(arch, 23, 35, scale=5.0)
             loss1, grads1 = _parallel_loss_grads(net, *first, workers, executor)
-            kept = [(gw.copy(), gb.copy()) for gw, gb in grads1.layers]
+            kept = [(gw.copy(), gb.copy()) for gw, gb in grads1]
             loss2, grads2 = _parallel_loss_grads(net, *second, workers, executor)
         finally:
             executor.shutdown()
-        assert_same_grads(grads1.layers, kept)
+        assert_same_grads(grads1, kept)
         for (loss, grads), batch in (((loss1, grads1), first), ((loss2, grads2), second)):
             expected_loss, expected = _reference_loss_grads(net, *batch)
             assert loss == expected_loss
-            assert_same_grads(grads.layers, expected)
+            assert_same_grads(grads, expected)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_train_matches_reference_loop(self, split, workers):
@@ -552,7 +570,7 @@ class TestBufferedStep:
             t = np.concatenate([tracks[i].surge for i in idx])
             loss, grads = _reference_loss_grads(net, x, t)
             assert row.train_mse == loss
-            net, state = adam_step(net, GradientSet(grads), state, row.lr, cfg)
+            net, state = adam_step(net, grads, state, row.lr, cfg)
         assert max_layer_diff(ck.net.layers, net.layers) == 0.0
 
 
@@ -586,6 +604,8 @@ class TestTiles:
             for (w, b), (w1, b1) in zip(ck.net.layers, ck1.net.layers):
                 assert np.array_equal(w, w1) and np.array_equal(b, b1)
 
+    # rows None: the first shard's buffers of a default-batch executor, which
+    # is what train() validates through.
     @pytest.mark.parametrize("rows", [None, 700, 5000])
     def test_tiled_validation_matches_one_forward_pass(self, rows):
         arch = Architecture(6, (32, 64), 10)
@@ -593,7 +613,8 @@ class TestTiles:
         x, t = random_batch(arch, 26, 51)  # 5018 rows
         outputs, _ = forward_batch(net, x)
         whole = float(((outputs - t) ** 2).sum() / t.size)
-        buffers = None if rows is None else _StepBuffers(arch, rows)
+        buffers = (_StepExecutor(arch, 32 * 193, 1).buffers[0] if rows is None
+                   else _StepBuffers(arch, rows))
         assert math.isclose(_dataset_mse(net, x, t, buffers), whole, rel_tol=1e-12)
 
 
