@@ -19,7 +19,7 @@ import yaml
 
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
-from .errors import CheckpointDimensionError, CheckpointError, ConfigError, TrainingDivergedError
+from .errors import ConfigError, SurgenetError
 from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
@@ -65,7 +65,7 @@ class RunConfig:
             raise ConfigError(f"n_tracks must be >= 1, got {self.n_tracks}")
         try:
             self.hidden = _parse_hidden(self.hidden)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
             raise ConfigError(f"hidden: {exc}") from None
 
     def train_config(self) -> TrainConfig:
@@ -77,10 +77,7 @@ class RunConfig:
         )
         settings = {f.name: getattr(self, f.name)
                     for f in dataclasses.fields(TrainConfig) if f.name != "arch"}
-        try:
-            return TrainConfig(arch=arch, **settings)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return TrainConfig(arch=arch, **settings)
 
 
 # What a setting may hold beyond its annotated type: any number where a float
@@ -96,6 +93,8 @@ def _check_type(name: str, value, kind) -> None:
     if isinstance(value, bool) or not isinstance(value, accepted):
         expected = _TYPE_NAMES.get(kind, getattr(kind, "__name__", str(kind)))
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if isinstance(value, str) and "\0" in value:  # no file path can hold one
+        raise ConfigError(f"{name} must not hold a NUL character, got {value!r}")
 
 
 def _parse_hidden(value) -> tuple:
@@ -116,15 +115,11 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 def _build_oracle(raw) -> OracleParams:
     if not isinstance(raw, dict):
         raise ConfigError(f"oracle must be a mapping, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _ORACLE_KEYS)
+    unknown = sorted(set(raw) - _ORACLE_KEYS, key=str)
     if unknown:
         raise ConfigError(f"unknown oracle keys: {unknown}")
-    base = default_oracle()
-    kwargs = {k: raw[k] for k in raw}
-    if "stations" in kwargs:
-        kwargs["stations"] = tuple(tuple(s) for s in kwargs["stations"])
     try:
-        return dataclasses.replace(base, **kwargs)
+        return dataclasses.replace(default_oracle(), **raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid oracle settings: {exc}") from None
 
@@ -148,13 +143,13 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     try:
         raw = yaml.load(text, Loader=_ConfigLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nesting deeper than the stack
         raise ConfigError(f"unparsable config {path}: {exc}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - _CONFIG_KEYS, key=str)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     if "oracle" in raw:
@@ -172,6 +167,7 @@ _OUT_DEST = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    _check_type("config", args.config, str | None)
     settings = load_config_file(args.config) if args.config else {}
     # A flag overrides the RunConfig field its destination names.
     for dest, value in vars(args).items():
@@ -179,10 +175,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             settings[dest] = value
     if getattr(args, "out", None) is not None:
         settings[_OUT_DEST[args.command]] = args.out
-    try:
-        return RunConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**settings)
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -215,23 +208,9 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_surge_checkpoint(path):
-    """load_checkpoint, refusing a network that does not map the track
-    schema's input columns to its stations."""
-    ckpt = load_checkpoint(path)
-    arch = ckpt.net.arch
-    want = (len(dataset.INPUT_COLUMNS), dataset.N_STATIONS)
-    if (arch.input_dim, arch.output_dim) != want:
-        raise CheckpointDimensionError(
-            f"{Path(path).name}: network maps {arch.input_dim} inputs to "
-            f"{arch.output_dim} outputs, but tracks have {want[0]} input columns "
-            f"and {want[1]} stations")
-    return ckpt
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score a checkpoint on one split and write the report CSVs."""
-    ckpt = _load_surge_checkpoint(cfg.checkpoint)
+    ckpt = load_checkpoint(cfg.checkpoint)
     labels = dataset.SPLIT_LABELS if cfg.split == "all" else (cfg.split,)
     tracks = dataset.load_corpus(cfg.corpus_dir, labels).all_tracks()
     result = evaluation.evaluate_tracks(
@@ -249,7 +228,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     """Predict station surge for one storm track CSV (inputs only needed)."""
     if not cfg.track:
         raise ConfigError("predict needs --track (or the 'track' config key)")
-    ckpt = _load_surge_checkpoint(cfg.checkpoint)
+    ckpt = load_checkpoint(cfg.checkpoint)
     raw = dataset.read_input_series(cfg.track)
     inputs = dataset.interpolate_to_grid(raw, f"{Path(cfg.track).name}: ")
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))
@@ -314,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(build_config(args))
-    except (ValueError, CheckpointError, TrainingDivergedError, OSError) as exc:
+    except (SurgenetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     ColumnSchemaError,
+    ConfigError,
     FieldRangeError,
     NonFiniteValueError,
     RowCountError,
@@ -324,7 +325,7 @@ def split_dataset(tracks, seed: int) -> DatasetSplit:
     ids = [tr.track_id for tr in tracks]
     if len(set(ids)) != n:
         dup = next(i for i in ids if ids.count(i) > 1)
-        raise ValueError(f"duplicate track id {dup!r}")
+        raise TrackValidationError(f"duplicate track id {dup!r}")
     order = Rng(seed).shuffled_indices(n)
     n_train, n_val, _ = split_sizes(n)
     shuffled = [tracks[i] for i in order]
@@ -352,12 +353,12 @@ class OracleParams:
         stations = tuple((float(lon), float(lat)) for lon, lat in self.stations)
         object.__setattr__(self, "stations", stations)
         if len(stations) != N_STATIONS:
-            raise ValueError(f"expected {N_STATIONS} stations, got {len(stations)}")
+            raise ConfigError(f"expected {N_STATIONS} stations, got {len(stations)}")
         if not (self.amplitude_m_per_hpa > 0 and self.decay_km > 0
                 and self.time_width_days > 0):
-            raise ValueError("amplitude, decay_km and time_width_days must be > 0")
+            raise ConfigError("amplitude, decay_km and time_width_days must be > 0")
         if not abs(self.asymmetry) < 1:
-            raise ValueError(f"asymmetry must satisfy |a| < 1, got {self.asymmetry}")
+            raise ConfigError(f"asymmetry must satisfy |a| < 1, got {self.asymmetry}")
 
 
 # Station longitudes, numbered 1..10 north-east to south-west, 0.33 deg apart.
@@ -461,7 +462,7 @@ def generate_track(rng: Rng, oracle: OracleParams, track_id: str = "track") -> S
 def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
     """Row range where |tau| <= half_width_days, clipped to the track."""
     if not 0 < half_width_days <= 1:
-        raise ValueError(f"half_width_days must be in (0, 1], got {half_width_days}")
+        raise ConfigError(f"half_width_days must be in (0, 1], got {half_width_days}")
     mask = np.abs(track.tau) <= half_width_days + 1e-12
     rows = np.nonzero(mask)[0]
     return range(int(rows[0]), int(rows[-1]) + 1)
@@ -553,6 +554,9 @@ def read_manifest(path) -> list:
         if track_id in seen_ids:
             raise ColumnSchemaError(
                 f"{path.name}: duplicate track id {track_id!r}", row=r, column="track_id")
+        if "\0" in file:
+            raise ColumnSchemaError(
+                f"{path.name}: NUL character in track file name", row=r, column="file")
         if os.path.normpath(file) in seen_files:
             raise ColumnSchemaError(
                 f"{path.name}: duplicate track file {file!r}", row=r, column="file")
@@ -575,7 +579,7 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     Fewer than 7 tracks leave validation and test empty (split_sizes).
     """
     if n_tracks < 1:
-        raise ValueError(f"need at least 1 track, got {n_tracks}")
+        raise ConfigError(f"need at least 1 track, got {n_tracks}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     root = Rng(seed)
@@ -607,7 +611,7 @@ def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     """
     unknown = [label for label in labels if label not in SPLIT_LABELS]
     if unknown:
-        raise ValueError(f"unknown split labels {unknown}; expected some of {SPLIT_LABELS}")
+        raise ConfigError(f"unknown split labels {unknown}; expected some of {SPLIT_LABELS}")
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():

@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each derives from SurgenetError,
+and one with a builtin base keeps it (ValueError for a bad value)."""
 
 
-class DimensionMismatchError(ValueError):
+class SurgenetError(Exception):
+    """Root of every error the package raises for bad input or a failed run."""
+
+
+class DimensionMismatchError(SurgenetError, ValueError):
     """Operands or parameters with incompatible shapes."""
 
 
-class TrackValidationError(ValueError):
-    """A storm-track file or array violates the track schema.
+class TrackValidationError(SurgenetError, ValueError):
+    """A storm-track file, array or corpus violates the track schema.
 
     Carries the offending row index and column name when they are known.
     """
@@ -42,7 +47,7 @@ class FieldRangeError(TrackValidationError):
     """A physical field is outside its admissible range."""
 
 
-class CheckpointError(Exception):
+class CheckpointError(SurgenetError):
     """Base for checkpoint serialization problems."""
 
 
@@ -53,20 +58,19 @@ class CheckpointFormatError(CheckpointError):
 class CheckpointVersionError(CheckpointError):
     """Checkpoint was written with an unsupported format version."""
 
-    def __init__(self, found, expected):
-        super().__init__(
-            f"checkpoint has format_version {found!r}, this build reads {expected}")
-        self.found = found
-        self.expected = expected
-
 
 class CheckpointDimensionError(CheckpointError):
     """Stored arrays disagree with the declared architecture."""
 
 
-class ConfigError(ValueError):
-    """Run configuration file or flags are invalid."""
+class ConfigError(SurgenetError, ValueError):
+    """A run setting is invalid: a config or flag, TrainConfig, Architecture
+    or OracleParams value."""
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(SurgenetError, RuntimeError):
     """Training loss became non-finite."""
+
+
+class DomainError(SurgenetError, ValueError):
+    """An argument outside its function's domain, e.g. a mass outside (0, 1)."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import N_STATIONS, atomic_write, csv_lead, format_rows, landfall_window
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DomainError, TrackValidationError
 from .network import forward_batch
 
 # Report columns derived from the error distribution.
@@ -55,11 +55,11 @@ def _stacked(preds, obs) -> tuple:
     p = np.asarray(preds, dtype=np.float64)
     o = np.asarray(obs, dtype=np.float64)
     if p.shape != o.shape or p.ndim != 2 or p.shape[1] != N_STATIONS:
-        raise ValueError(
+        raise DimensionMismatchError(
             f"predictions and observations must both be (n, {N_STATIONS}), "
             f"got {p.shape} and {o.shape}")
     if p.shape[0] == 0:
-        raise ValueError("no rows to score")
+        raise DimensionMismatchError("no rows to score")
     return p, o
 
 
@@ -76,13 +76,7 @@ def location_metrics(preds, obs) -> list:
 
 def predict_track(net, normalizer, track) -> np.ndarray:
     """Surge predictions (193, 10) for one track; handles normalization."""
-    n_in = track.inputs.shape[1]
-    if net.arch.input_dim != n_in or net.arch.output_dim != N_STATIONS:
-        raise DimensionMismatchError(
-            f"checkpoint maps {net.arch.input_dim} inputs to {net.arch.output_dim} "
-            f"outputs, but tracks have {n_in} inputs and {N_STATIONS} stations")
-    outputs, _ = forward_batch(net, normalizer.apply(track.inputs))
-    return outputs
+    return forward_batch(net, normalizer.apply(track.inputs))[0]
 
 
 def pool_errors(series, window_days=None) -> list:
@@ -92,7 +86,7 @@ def pool_errors(series, window_days=None) -> list:
     rows. Returns ten 1-D arrays, one per station.
     """
     if not series:
-        raise ValueError("no tracks to pool errors from")
+        raise TrackValidationError("no tracks to pool errors from")
     blocks = []
     for track, preds in series:
         rows = range(len(preds)) if window_days is None else landfall_window(track, window_days)
@@ -105,8 +99,9 @@ class ErrorPdf:
     """Gaussian-kernel density estimate of one error population.
 
     The density lives on a uniform grid wide enough that effectively all
-    kernel mass is inside, and cdf integrates it up to each grid point. One
-    value repeated is a point mass instead (point_mass set, arrays empty).
+    kernel mass is inside, and cdf integrates it up to each grid point. A
+    population too narrow for such a grid to resolve is a point mass at its
+    error of largest magnitude instead (point_mass set, arrays empty).
     """
 
     location: int | None
@@ -127,17 +122,17 @@ def fit_kde(errors, location=None) -> ErrorPdf:
     e = np.asarray(errors, dtype=np.float64).ravel()
     n = e.size
     if n < _MIN_KDE_SAMPLES:
-        raise ValueError(f"need at least {_MIN_KDE_SAMPLES} errors, got {n}")
-    if not np.isfinite(e).all():
-        raise ValueError("errors must be finite")
-
-    if e.min() == e.max():  # e.std() can round to a few ulps above 0 here
-        return ErrorPdf(location, 0.0, np.empty(0), np.empty(0), np.empty(0),
-                        point_mass=float(e[0]))
+        raise DomainError(f"need at least {_MIN_KDE_SAMPLES} errors, got {n}")
+    if not np.abs(e).max() < 1e150:  # nan and inf fail too; beyond, e.std() overflows
+        raise DomainError("errors must be finite and below 1e150 in magnitude")
 
     h = float(e.std()) * n ** (-0.2)
     lo = float(e.min()) - 4.0 * h
     hi = float(e.max()) + 4.0 * h
+    largest = float(e[np.argmax(np.abs(e))])
+    if (hi - lo) / 1023 < math.ulp(largest):  # a 1024-point grid cannot resolve e
+        return ErrorPdf(location, 0.0, np.empty(0), np.empty(0), np.empty(0),
+                        point_mass=largest)
     n_grid = int(max(1024, min(np.ceil((hi - lo) / (h / 4.0)) + 1, 65536)))
     grid = np.linspace(lo, hi, n_grid)
     step = (hi - lo) / (n_grid - 1)
@@ -171,7 +166,7 @@ def _within(pdf: ErrorPdf, e):
 def prob_within(pdf: ErrorPdf, bound: float) -> float:
     """P(|error| <= bound): trapezoidal integral of the density on [-b, b]."""
     if not bound > 0:
-        raise ValueError(f"bound must be > 0, got {bound}")
+        raise DomainError(f"bound must be > 0, got {bound}")
     if pdf.point_mass is not None:
         return 1.0 if abs(pdf.point_mass) <= bound else 0.0
     return float(_within(pdf, bound))
@@ -185,7 +180,7 @@ def quantile_interval(pdf: ErrorPdf, mass: float) -> float:
     closed form on the segment where it reaches mass.
     """
     if not 0 < mass < 1:
-        raise ValueError(f"mass must be in (0, 1), got {mass}")
+        raise DomainError(f"mass must be in (0, 1), got {mass}")
     if pdf.point_mass is not None:
         return abs(pdf.point_mass)
     knots = np.sort(np.abs(np.concatenate([[0.0], pdf.grid])))
@@ -225,7 +220,7 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     landfall-window error densities."""
     tracks = list(tracks)
     if not tracks:
-        raise ValueError(f"no tracks in population {label!r}")
+        raise TrackValidationError(f"no tracks in population {label!r}")
     series = [(tr, predict_track(net, normalizer, tr)) for tr in tracks]
     preds = np.concatenate([p for _, p in series])
     obs = np.concatenate([tr.surge for tr, _ in series])

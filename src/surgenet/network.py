@@ -14,12 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .dataset import atomic_write
+from .dataset import INPUT_COLUMNS, N_STATIONS, atomic_write
 from .errors import (
     CheckpointDimensionError,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
+    ConfigError,
     DimensionMismatchError,
+    DomainError,
 )
 
 CHECKPOINT_VERSION = 1
@@ -42,17 +45,17 @@ class Architecture:
     def __post_init__(self):
         for d in (self.input_dim, *self.hidden_sizes, self.output_dim):
             if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-                raise ValueError(f"layer sizes must be integers, got {d!r}")
+                raise ConfigError(f"layer sizes must be integers, got {d!r}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "output_dim", int(self.output_dim))
         if len(self.hidden_sizes) not in (1, 2):
-            raise ValueError(f"expected 1 or 2 hidden layers, got {len(self.hidden_sizes)}")
+            raise ConfigError(f"expected 1 or 2 hidden layers, got {len(self.hidden_sizes)}")
         dims = (self.input_dim, *self.hidden_sizes, self.output_dim)
         if any(d < 1 for d in dims):
-            raise ValueError(f"all layer dimensions must be >= 1, got {dims}")
+            raise ConfigError(f"all layer dimensions must be >= 1, got {dims}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown activation {self.activation!r}; choose from {sorted(ACTIVATIONS)}")
 
     def layer_dims(self) -> list:
@@ -168,7 +171,7 @@ def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) 
     """Write a version-tagged JSON checkpoint; floats keep their exact value."""
     for w, b in net.layers:
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("refusing to save non-finite parameters")
+            raise DomainError("refusing to save non-finite parameters")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "arch": {
@@ -201,87 +204,103 @@ def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) 
         fh.write(json.dumps(payload, indent=1) + "\n")
 
 
-def _payload_get(payload, key, context="checkpoint"):
-    if not isinstance(payload, dict) or key not in payload:
-        raise CheckpointFormatError(f"{context} is missing field {key!r}")
-    return payload[key]
+# Per kind of checkpoint field: the types json.loads gives for it, and its name.
+_KINDS = {dict: ((dict,), "an object"), list: ((list,), "a list"), str: ((str,), "a string"),
+          bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+          float: ((int, float), "a finite number")}
 
 
-def _meta_number(raw_meta, key, kind):
-    """meta[key] as kind: an integer for int, any number for float."""
-    value = _payload_get(raw_meta, key, "meta")
-    accepted = (int, float) if kind is float else int
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        noun = "an integer" if kind is int else "a number"
-        raise CheckpointFormatError(f"meta.{key} must be {noun}, got {value!r}")
-    return kind(value)
+def _field(node: dict, key, where: str, kind, size=None):
+    """node[key] checked to be JSON of kind, a _KINDS key; errors name it
+    where.key (e.g. "layers[1].bias"). With size, it must be a list of size
+    values of kind instead, and numbers come back as a float64 array."""
+    name = f"{where}.{key}" if where else key
+    if key not in node:
+        raise CheckpointFormatError(f"{name} is missing")
+    value = node[key]
+    if size is not None and type(value) is not list:
+        raise CheckpointFormatError(f"{name} holds {value!r:.40}, not a list")
+    types, noun = _KINDS[kind]
+    items = [value] if size is None else value
+    if not set(map(type, items)).issubset(types):
+        bad = next(v for v in items if type(v) not in types)
+        raise CheckpointFormatError(f"{name} holds {bad!r:.40}, not {noun}")
+    if size is not None and len(value) != size:
+        raise CheckpointDimensionError(f"{name} must hold {size} values, got {len(value)}")
+    if kind is not float:
+        return value
+    try:
+        number = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        number = np.array(np.inf)
+    if not np.isfinite(number).all():
+        raise CheckpointFormatError(f"{name} must be finite")
+    return number if size is not None else float(number)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint, validating version,
-    structure, dimensions, and finiteness."""
+    """Read a checkpoint written by save_checkpoint. Each field is checked by
+    _field, every std must be > 0, and the network must map the track
+    schema's input columns to its stations. A refusal is a CheckpointError
+    whose message starts with the file's name."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise CheckpointFormatError(f"unparsable checkpoint: {exc}") from None
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"not UTF-8 text ({exc.reason})") from None
+        except (ValueError, RecursionError) as exc:  # nesting deeper than the stack
+            raise CheckpointFormatError(f"unparsable checkpoint: {exc}") from None
+        return _checkpoint_from(payload if type(payload) is dict else {})
+    except CheckpointError as exc:
+        exc.args = (f"{path.name}: {exc}",)
+        raise
 
-    version = _payload_get(payload, "format_version")
+
+def _checkpoint_from(payload: dict) -> Checkpoint:
+    version = _field(payload, "format_version", "", int)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(version, CHECKPOINT_VERSION)
+        raise CheckpointVersionError(f"format_version is {version}, not {CHECKPOINT_VERSION}")
 
-    raw_arch = _payload_get(payload, "arch")
+    raw_arch = _field(payload, "arch", "", dict)
     try:
         arch = Architecture(
-            input_dim=_payload_get(raw_arch, "input_dim", "arch"),
-            hidden_sizes=_payload_get(raw_arch, "hidden_sizes", "arch"),
-            output_dim=_payload_get(raw_arch, "output_dim", "arch"),
-            activation=_payload_get(raw_arch, "activation", "arch"),
+            input_dim=_field(raw_arch, "input_dim", "arch", int),
+            hidden_sizes=_field(raw_arch, "hidden_sizes", "arch", list),
+            output_dim=_field(raw_arch, "output_dim", "arch", int),
+            activation=_field(raw_arch, "activation", "arch", str),
         )
-    except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"invalid architecture block: {exc}") from None
-
-    raw_norm = _payload_get(payload, "normalizer")
-    means = np.asarray(_payload_get(raw_norm, "means", "normalizer"), dtype=np.float64)
-    stds = np.asarray(_payload_get(raw_norm, "stds", "normalizer"), dtype=np.float64)
-    flags = np.asarray(_payload_get(raw_norm, "constant_flags", "normalizer"), dtype=bool)
-    if not (means.shape == stds.shape == flags.shape == (arch.input_dim,)):
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"arch: {exc}") from None
+    if (arch.input_dim, arch.output_dim) != (len(INPUT_COLUMNS), N_STATIONS):
         raise CheckpointDimensionError(
-            f"normalizer arrays must have shape ({arch.input_dim},), got "
-            f"{means.shape}, {stds.shape}, {flags.shape}")
+            f"network maps {arch.input_dim} inputs to {arch.output_dim} outputs, but tracks "
+            f"have {len(INPUT_COLUMNS)} input columns and {N_STATIONS} stations")
 
-    raw_layers = _payload_get(payload, "layers")
+    raw_norm = _field(payload, "normalizer", "", dict)
+    means = _field(raw_norm, "means", "normalizer", float, arch.input_dim)
+    stds = _field(raw_norm, "stds", "normalizer", float, arch.input_dim)
+    flags = np.asarray(_field(raw_norm, "constant_flags", "normalizer", bool, arch.input_dim))
+    if not (stds > 0).all():
+        raise CheckpointFormatError(
+            f"normalizer.stds holds {float(stds.min())!r}, not a value > 0")
+
     dims = arch.layer_dims()
-    if not isinstance(raw_layers, list) or len(raw_layers) != len(dims):
-        raise CheckpointDimensionError(
-            f"expected {len(dims)} layers, found "
-            f"{len(raw_layers) if isinstance(raw_layers, list) else type(raw_layers).__name__}")
+    raw_layers = _field(payload, "layers", "", dict, len(dims))
     layers = []
     for i, (raw, (rows, cols)) in enumerate(zip(raw_layers, dims)):
-        stored = (_payload_get(raw, "rows", f"layer {i}"), _payload_get(raw, "cols", f"layer {i}"))
+        where = f"layers[{i}]"
+        stored = (_field(raw, "rows", where, int), _field(raw, "cols", where, int))
         if stored != (rows, cols):
             raise CheckpointDimensionError(
-                f"layer {i}: architecture implies shape {(rows, cols)}, file stores {stored}")
-        w = np.asarray(_payload_get(raw, "weights", f"layer {i}"), dtype=np.float64)
-        b = np.asarray(_payload_get(raw, "bias", f"layer {i}"), dtype=np.float64)
-        if w.size != rows * cols or b.shape != (rows,):
-            raise CheckpointDimensionError(
-                f"layer {i}: expected {rows * cols} weights and {rows} biases, "
-                f"got {w.size} and {b.size}")
-        layers.append((w.reshape(rows, cols), b))
+                f"{where}: architecture implies shape {(rows, cols)}, file stores {stored}")
+        w = _field(raw, "weights", where, float, rows * cols)
+        layers.append((w.reshape(rows, cols), _field(raw, "bias", where, float, rows)))
 
-    for arr in (means, stds, *[a for pair in layers for a in pair]):
-        if not np.isfinite(arr).all():
-            raise CheckpointFormatError("checkpoint contains non-finite values")
-
-    raw_meta = _payload_get(payload, "meta")
+    raw_meta = _field(payload, "meta", "", dict)
     meta = CheckpointMeta(
-        seed=_meta_number(raw_meta, "seed", int),
-        epochs_trained=_meta_number(raw_meta, "epochs_trained", int),
-        final_train_mse=_meta_number(raw_meta, "final_train_mse", float),
+        seed=_field(raw_meta, "seed", "meta", int),
+        epochs_trained=_field(raw_meta, "epochs_trained", "meta", int),
+        final_train_mse=_field(raw_meta, "final_train_mse", "meta", float),
     )
     return Checkpoint(NetworkParams(arch, layers), Normalizer(means, stds, flags), meta)

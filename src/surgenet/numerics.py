@@ -7,6 +7,8 @@ bitwise-identical results on every platform.
 
 import numpy as np
 
+from .errors import DomainError
+
 # Largest float64 strictly below 1; saturated activations are pulled onto
 # this so outputs stay strictly inside their open intervals.
 _ONE_BELOW = np.nextafter(1.0, 0.0)
@@ -72,23 +74,23 @@ class Rng:
     def child(self, index: int) -> "Rng":
         """Independent generator keyed by (this path, index)."""
         if index < 0:
-            raise ValueError(f"child index must be >= 0, got {index}")
+            raise DomainError(f"child index must be >= 0, got {index}")
         return Rng._from_path(self._path + (int(index),))
 
     def normal(self, mean=0.0, std=1.0, size=None):
         if std < 0:
-            raise ValueError(f"std must be >= 0, got {std}")
+            raise DomainError(f"std must be >= 0, got {std}")
         return self._gen.normal(mean, std, size)
 
     def uniform(self, low, high, size=None):
         if not low <= high:
-            raise ValueError(f"empty uniform range [{low}, {high}]")
+            raise DomainError(f"empty uniform range [{low}, {high}]")
         return self._gen.uniform(low, high, size)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices drawn uniformly from range(n)."""
         if k > n:
-            raise ValueError(f"cannot draw {k} distinct items from {n}")
+            raise DomainError(f"cannot draw {k} distinct items from {n}")
         return self._gen.choice(n, size=k, replace=False)
 
     def shuffled_indices(self, n: int) -> np.ndarray:

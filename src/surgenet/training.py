@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import atomic_write
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrackValidationError, TrainingDivergedError
 from .network import (
     Architecture,
     Checkpoint,
@@ -57,23 +57,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_tracks < 1:
-            raise ValueError(f"batch_tracks must be >= 1, got {self.batch_tracks}")
+            raise ConfigError(f"batch_tracks must be >= 1, got {self.batch_tracks}")
         if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         for name in ("adam_beta1", "adam_beta2"):
             beta = getattr(self, name)
             if not 0 <= beta < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
         if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.validation_every < 0:
-            raise ValueError(f"validation_every must be >= 0, got {self.validation_every}")
+            raise ConfigError(f"validation_every must be >= 0, got {self.validation_every}")
 
 
 @dataclass
@@ -190,9 +190,6 @@ def sample_batch(rng: Rng, data: tuple, batch_tracks: int, out: tuple) -> tuple:
     tracks, never partial ones.
     """
     inputs, targets = data
-    if batch_tracks > len(inputs):
-        raise ValueError(
-            f"batch of {batch_tracks} tracks requested but only {len(inputs)} available")
     idx = rng.choice_without_replacement(len(inputs), batch_tracks)
     # idx is in range by construction; mode="clip" only skips the bounds
     # check, which would gather through a temporary copy instead of into out.
@@ -310,9 +307,9 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
     """
     tracks = list(split.training)
     if not tracks:
-        raise ValueError("training split is empty")
+        raise TrackValidationError("training split is empty")
     if cfg.batch_tracks > len(tracks):
-        raise ValueError(
+        raise ConfigError(
             f"batch_tracks = {cfg.batch_tracks} exceeds the {len(tracks)} training tracks")
 
     raw_inputs = np.stack([tr.inputs for tr in tracks])

@@ -1,16 +1,25 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import shutil
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surgenet import cli
-from surgenet.dataset import read_manifest, tau_grid
+from surgenet import cli, dataset
+from surgenet.dataset import SPLIT_LABELS, read_manifest, tau_grid
+from surgenet.errors import ConfigError, SurgenetError
 from surgenet.network import (
+    ACTIVATIONS,
     Architecture,
     CheckpointMeta,
     Normalizer,
@@ -38,6 +47,14 @@ def workspace(tmp_path_factory):
                      "--hidden", "8,8", "--epochs", "60", "--batch-tracks", "4",
                      "--validation-every", "20", "--out", str(ckpt)]) == 0
     return ws
+
+
+def run_quietly(argv):
+    """cli.main(argv) with stdout dropped; returns (exit status, stderr)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
 
 
 def damaged_corpus(workspace, dest, label):
@@ -340,6 +357,41 @@ class TestCheckpointShape:
         assert not (tmp_path / "out").exists()
 
 
+class TestDamagedCheckpoint:
+    """predict refuses a damaged checkpoint with one line that names the file
+    and the field, and writes no prediction."""
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("normalizer", "means", 0), {"a": 1},
+         "normalizer.means holds {'a': 1}, not a finite number"),
+        (("normalizer", "means", 0), "x", "normalizer.means holds 'x', not a finite number"),
+        (("layers", 0, "weights"), {"a": 1}, "layers[0].weights holds {'a': 1}, not a list"),
+        (("layers", 0, "weights"), [[0.5, 1.0], [2.0]],
+         "layers[0].weights holds [0.5, 1.0], not a finite number"),
+        (("layers", 0, "weights"), [0.5] * 47, "layers[0].weights must hold 48 values, got 47"),
+        (("normalizer", "stds", 0), 0, "normalizer.stds holds 0.0, not a value > 0"),
+        (("normalizer", "stds", 0), -1.0, "normalizer.stds holds -1.0, not a value > 0"),
+        (("normalizer", "constant_flags", 0), "no",
+         "normalizer.constant_flags holds 'no', not a boolean"),
+        (("meta", "seed"), None, "meta.seed holds None, not an integer"),
+    ], ids=["dict in means", "string in means", "dict as weights", "ragged weights",
+            "short weights", "zero std", "negative std", "string flag", "null seed"])
+    def test_refused_with_file_and_field_named(self, tmp_path, workspace, path, value, message):
+        payload = json.loads((workspace / "model.json").read_text())
+        assert payload["normalizer"]["constant_flags"][0] is False
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text(json.dumps(payload))
+        code, stderr = run_quietly(["predict", "--checkpoint", str(ckpt), "--track",
+                                    str(workspace / "corpus" / "track_0001.csv"),
+                                    "--out", str(tmp_path / "p.csv")])
+        assert (code, stderr) == (1, f"error: ck.json: {message}\n")
+        assert not (tmp_path / "p.csv").exists()
+
+
 LONG_FIELD = "x" * 200_000  # over csv's default limit of 131,072 characters
 
 
@@ -403,6 +455,14 @@ class TestConfigFile:
         assert code == 1
         assert "unparsable config" in stderr
 
+    def test_deeply_nested_yaml_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)  # deeper than Python's recursion limit
+        code, _, stderr = run(capsys, "generate", "--config", str(cfg),
+                              "--out", str(tmp_path / "c"))
+        assert (code, stderr.count("\n")) == (1, 1)
+        assert stderr.startswith(f"error: unparsable config {cfg}: ")
+
     def test_non_utf8_config_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_bytes(b"seed: 7\n\xff\n")
@@ -415,7 +475,9 @@ class TestConfigFile:
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
         ('learning_rate: "fast"', "learning_rate"), ("track: 7", "track"),
         ("hidden: {a: 1}", "hidden"), ("hidden: [32.7]", "hidden"),
-        ("hidden: [true]", "hidden"),
+        ("hidden: [true]", "hidden"), ("oracle: {stations: 5}", "oracle"),
+        ("oracle: {stations: [true]}", "oracle"), ("1: 2\nepoches: 3", "epoches"),
+        ("oracle: {1: 2, amp: 3}", "amp"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "cfg.yaml"
@@ -457,6 +519,176 @@ class TestConfigFile:
                  for action in p._actions}
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert dests - {"config", "out", "help", "command"} <= fields
+
+
+LETTERS = st.text(string.ascii_letters, min_size=1, max_size=6)
+NOT_A_NUMBER = st.one_of(LETTERS, st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(LETTERS, st.integers(), max_size=2))
+NOT_AN_INT = st.one_of(NOT_A_NUMBER, st.floats().filter(lambda f: not f.is_integer()))
+NOT_A_STRING = st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(LETTERS, max_size=2),
+                         st.dictionaries(LETTERS, LETTERS, max_size=2))
+NAN = st.just(math.nan)
+STATION = st.tuples(st.floats(-80, -74), st.floats(33, 37)).map(list)
+
+
+def outside(lo, hi, lo_open=True, hi_open=False):
+    """Floats outside the interval from lo to hi, nan included; lo_open and
+    hi_open say whether the interval leaves out its ends."""
+    return st.one_of(st.floats(max_value=lo, exclude_max=not lo_open),
+                     st.floats(min_value=hi, exclude_min=not hi_open), NAN)
+
+
+UNKNOWN_KEY = st.one_of(LETTERS, st.integers(), st.none(), st.floats(allow_nan=False))
+BAD_ORACLE = st.one_of(
+    st.one_of(st.integers(), LETTERS, st.lists(st.integers(), max_size=2)),
+    st.dictionaries(UNKNOWN_KEY, st.integers(), min_size=1, max_size=3),
+    st.one_of(st.lists(STATION, max_size=12).filter(lambda s: len(s) != 10),
+              NOT_A_NUMBER).map(lambda s: {"stations": s}),
+    st.tuples(st.lists(STATION, min_size=10, max_size=10), st.integers(0, 9),
+              st.one_of(NOT_A_NUMBER, st.lists(st.floats(), min_size=3, max_size=3))).map(
+        lambda t: {"stations": [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]]}),
+    st.tuples(st.sampled_from(["amplitude_m_per_hpa", "decay_km", "time_width_days"]),
+              st.one_of(st.floats(max_value=0), NAN, NOT_A_NUMBER.filter(
+                  lambda v: not isinstance(v, bool)))).map(lambda kv: {kv[0]: kv[1]}),
+    outside(-1, 1, hi_open=True).map(lambda a: {"asymmetry": a}),
+)
+
+BAD_SETTINGS = {
+    **{key: st.one_of(NOT_AN_INT, st.integers(max_value=0))
+       for key in ("epochs", "batch_tracks", "workers", "n_tracks")},
+    "seed": NOT_AN_INT,
+    "validation_every": st.one_of(NOT_AN_INT, st.integers(max_value=-1)),
+    "learning_rate": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN),
+    "adam_eps": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN),
+    "lr_decay": st.one_of(NOT_A_NUMBER, outside(0, 1)),
+    "adam_beta1": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True)),
+    "adam_beta2": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True)),
+    "window_days": st.one_of(NOT_A_NUMBER, outside(0, 1)),
+    "split": st.one_of(NOT_A_STRING, LETTERS.filter(lambda s: s not in cli.SPLIT_CHOICES)),
+    "activation": st.one_of(NOT_A_STRING, LETTERS.filter(lambda s: s not in ACTIVATIONS)),
+    "hidden": st.one_of(
+        st.lists(st.integers(1, 8), min_size=3, max_size=4), st.just([]), LETTERS,
+        st.lists(st.integers(max_value=0), min_size=1, max_size=2), st.integers(max_value=0),
+        st.lists(NOT_AN_INT, min_size=1, max_size=2), st.booleans(), st.none(),
+        st.dictionaries(LETTERS, st.integers(), max_size=1)),
+    **{key: st.one_of(NOT_A_STRING, LETTERS.map(lambda s: s + "\0"))
+       for key in ("corpus_dir", "checkpoint", "report_dir", "prediction", "track")},
+    "oracle": BAD_ORACLE,
+}
+GOOD_SETTINGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(-10**6, 10**6), "epochs": st.integers(1, 3),
+    "validation_every": st.integers(0, 2), "learning_rate": st.floats(1e-4, 1e-2),
+    "hidden": st.just([4]), "activation": st.sampled_from(sorted(ACTIVATIONS)),
+    "split": st.sampled_from(cli.SPLIT_CHOICES), "window_days": st.floats(0.1, 1.0)})
+
+
+class TestConfigFuzz:
+    """A config with a bad value or key fails through a package error, and
+    main prints one line for it and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        # Three tracks, all for training: fewer than the default batch of 32,
+        # so even a config that slipped through would fail before an epoch.
+        corpus = tmp_path_factory.mktemp("corpus3")
+        dataset.generate_corpus(3, 5, dataset.default_oracle(), corpus)
+        return corpus
+
+    @settings(max_examples=300, deadline=None)
+    @given(good=GOOD_SETTINGS, data=st.data(),
+           bad=st.lists(st.sampled_from(sorted(BAD_SETTINGS) + ["unknown key", "document"]),
+                        min_size=1, max_size=3, unique=True))
+    def test_bad_config_is_a_package_error(self, corpus, tmp_path_factory, good, data, bad):
+        tmp = tmp_path_factory.mktemp("cfg")
+        settings_ = {**good, "corpus_dir": str(corpus), "checkpoint": str(tmp / "m.json")}
+        for key in bad:
+            if key == "unknown key":
+                settings_[data.draw(UNKNOWN_KEY.filter(lambda k: k not in cli._CONFIG_KEYS))] = 1
+            elif key != "document":
+                settings_[key] = data.draw(BAD_SETTINGS[key], label=key)
+        document = settings_ if "document" not in bad else data.draw(
+            st.one_of(st.lists(st.integers(), max_size=2), LETTERS, st.integers()))
+        (tmp / "cfg.yaml").write_text(yaml.safe_dump(document))
+        argv = ["train", "--config", str(tmp / "cfg.yaml")]
+
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(SurgenetError):
+            args.func(cli.build_config(args))
+        code, stderr = run_quietly(argv)
+        assert code == 1
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert list(tmp.iterdir()) == [tmp / "cfg.yaml"]
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle=BAD_ORACLE)
+    def test_bad_oracle_is_a_config_error(self, tmp_path_factory, oracle):
+        tmp = tmp_path_factory.mktemp("oracle")
+        (tmp / "cfg.yaml").write_text(yaml.safe_dump({"oracle": oracle}))
+        argv = ["generate", "--config", str(tmp / "cfg.yaml"), "--out", str(tmp / "c")]
+        with pytest.raises(ConfigError, match="oracle"):
+            cli.build_config(cli.build_parser().parse_args(argv))
+        code, stderr = run_quietly(argv)
+        assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not (tmp / "c").exists()
+
+
+TEXT = st.text(st.characters(blacklist_categories=["Cs"]), max_size=8)
+
+
+@st.composite
+def damaged_manifests(draw, rows):
+    """(header, rows) of a manifest with one drawn defect that read_manifest
+    refuses."""
+    header, rows = ["track_id", "file", "split"], [list(row) for row in rows]
+    r, other = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                             unique=True))
+    track_id, file, _ = rows[r]
+    kind = draw(st.sampled_from(["split", "id", "file", "nul", "same id", "same file",
+                                 "short", "long", "header"]))
+    if kind == "split":
+        rows[r][2] = draw(TEXT.filter(lambda t: t not in SPLIT_LABELS))
+    elif kind == "id":
+        rows[r][0] = draw(TEXT.filter(lambda t: t != Path(file).stem))
+    elif kind == "file":
+        rows[r][1] = draw(TEXT.filter(lambda t: Path(t).stem != track_id))
+    elif kind == "nul":  # the id is the file's stem, but no file can have the name
+        name = draw(TEXT) + "\0"
+        rows[r][:2] = [name, name + ".csv"]
+    elif kind == "same id":
+        rows[other][0] = track_id
+    elif kind == "same file":
+        rows[other][1] = file
+    elif kind == "short":
+        rows[r] = rows[r][:draw(st.integers(0, 2))]
+    elif kind == "long":
+        rows[r].append(draw(TEXT))
+    else:
+        header = draw(st.lists(TEXT, max_size=4).filter(lambda h: h != header))
+    return header, rows
+
+
+class TestManifestFuzz:
+    """A manifest with a bad row or header fails through a package error that
+    names it, and evaluate writes no report."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_manifest_is_a_package_error(self, workspace, tmp_path_factory, data):
+        rows = read_manifest(workspace / "corpus" / "manifest.csv")
+        header, rows = data.draw(damaged_manifests(rows))
+        corpus = tmp_path_factory.mktemp("manifest")
+        with open(corpus / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+
+        with pytest.raises(SurgenetError):
+            dataset.load_corpus(corpus, ("test",))
+        code, stderr = run_quietly(["evaluate", "--corpus", str(corpus), "--checkpoint",
+                                    str(workspace / "model.json"),
+                                    "--out", str(corpus / "out")])
+        assert code == 1
+        assert stderr.startswith("error: manifest.csv: ") and stderr.count("\n") == 1
+        assert not (corpus / "out").exists()
 
 
 class TestPipeline:

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgenet import dataset
 from surgenet.dataset import (
@@ -443,6 +445,25 @@ class TestInterpolateToGrid:
         grid = interpolate_to_grid(raw)
         assert np.all(grid[:, 1] == 1.0)
         np.testing.assert_array_equal(grid[:, 0], tau_grid())
+
+    @settings(max_examples=60, deadline=None)
+    @given(taus=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=40, unique=True),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_order_invariant_and_exact_on_linear_inputs(self, taus, seed, data):
+        taus = np.array(taus)
+        rng = Rng(seed)
+        a, b = rng.uniform(-100, 100, size=5), rng.uniform(-100, 100, size=5)
+        raw = np.column_stack([taus, a + np.outer(taus, b)])  # each column linear in tau
+        grid = interpolate_to_grid(raw)
+        order = data.draw(st.permutations(range(len(taus))))
+        np.testing.assert_array_equal(interpolate_to_grid(raw[order]), grid)
+
+        np.testing.assert_array_equal(grid[:, 0], tau_grid())
+        # Linear inside the sampled range, up to rounding; held at the ends.
+        tau = np.clip(tau_grid(), taus.min(), taus.max())
+        np.testing.assert_allclose(grid[:, 1:], a + np.outer(tau, b), rtol=0, atol=1e-10)
+        assert (grid[tau_grid() <= taus.min(), 1:] == raw[np.argmin(taus), 1:]).all()
+        assert (grid[tau_grid() >= taus.max(), 1:] == raw[np.argmax(taus), 1:]).all()
 
     def test_duplicate_tau_rejected(self):
         raw = np.array([

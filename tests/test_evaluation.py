@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from surgenet import evaluation
 from surgenet.dataset import default_oracle, generate_track
-from surgenet.errors import DimensionMismatchError
+from surgenet.errors import DimensionMismatchError, DomainError
 from surgenet.evaluation import (
     E_STAR_MASS,
     METRICS_HEADER,
@@ -132,7 +132,7 @@ class TestCollectErrors:
     def test_incompatible_checkpoint_rejected(self, untrained):
         _, normalizer, tracks = untrained
         wrong = init_network(Architecture(5, (4,), 10), Rng(0))
-        with pytest.raises(DimensionMismatchError, match="5 inputs"):
+        with pytest.raises(DimensionMismatchError, match=r"\(n, 5\), got \(193, 6\)"):
             predict_track(wrong, normalizer, tracks[0])
 
 
@@ -147,6 +147,12 @@ class TestFitKde:
         with pytest.raises(ValueError, match="finite"):
             fit_kde(e)
 
+    @pytest.mark.parametrize("spread", [1e150, 1e200, 1e308])
+    def test_spread_that_would_overflow_rejected(self, spread):
+        # Squared deviations of errors this far apart overflow float64.
+        with pytest.raises(DomainError, match="finite and below 1e150"):
+            fit_kde(np.resize([spread, 0.0], 20))
+
     def test_degenerate_population_is_a_point_mass(self):
         pdf = fit_kde(np.full(50, 0.07))
         assert pdf.point_mass == 0.07
@@ -154,6 +160,18 @@ class TestFitKde:
         assert prob_within(pdf, 0.1) == 1.0
         assert prob_within(pdf, 0.05) == 0.0
         assert quantile_interval(pdf, 0.95) == 0.07
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spread_below_grid_resolution_is_a_point_mass(self, sign):
+        # Two neighbouring floats: a 1024-point grid over them would repeat
+        # points, and its density would hold about 0.585 of the mass.
+        above = np.nextafter(0.3, 1.0)
+        pdf = fit_kde(sign * np.resize([0.3, above], 40))
+        assert pdf.point_mass == sign * above  # the error of largest magnitude
+        assert prob_within(pdf, 0.31) == 1.0
+        assert prob_within(pdf, above) == 1.0
+        assert prob_within(pdf, 0.3) == 0.0
+        assert quantile_interval(pdf, 0.95) == above
 
     def test_bandwidth_follows_scott_rule(self):
         e = Rng(10).normal(size=400)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,14 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from surgenet import cli
+from surgenet.dataset import default_oracle, generate_track, save_track_csv
 from surgenet.errors import (
     CheckpointDimensionError,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     DimensionMismatchError,
 )
 from surgenet.network import (
+    ACTIVATIONS,
     Architecture,
     CheckpointMeta,
     NetworkParams,
@@ -200,6 +209,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="unparsable"):
             load_checkpoint(path)
 
+    def test_deeply_nested_file_is_a_parse_error(self, saved):
+        *_, path = saved
+        path.write_text("[" * 100_000 + "]" * 100_000)  # deeper than Python's recursion limit
+        with pytest.raises(CheckpointFormatError, match="^ck.json: unparsable checkpoint: "):
+            load_checkpoint(path)
+
     def test_version_mismatch_names_both_versions(self, saved):
         *_, path = saved
         payload = json.loads(path.read_text())
@@ -221,7 +236,7 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["layers"][0]["rows"] += 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointDimensionError, match="layer 0"):
+        with pytest.raises(CheckpointDimensionError, match=r"^ck\.json: layers\[0\]: "):
             load_checkpoint(path)
 
     def test_missing_field_is_a_format_error(self, saved):
@@ -266,3 +281,104 @@ class TestCheckpoint:
         bad.layers[0][0][0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             save_checkpoint(bad, norm, meta, tmp_path / "bad.json")
+
+
+def json_paths(node, path=()):
+    """The path (keys and list indices) of every value inside node, node's own
+    empty path first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, (*path, key))
+
+
+INF = "<1e999>"  # stands for the JSON number 1e999, which json.loads reads as inf
+REPLACEMENTS = ({"a": 1}, "x", True, None, [0.5], INF)
+
+
+@st.composite
+def damaged_payloads(draw, payload):
+    """payload with one drawn edit: a key or list item deleted, a value
+    replaced by one of REPLACEMENTS, or a list truncated or extended."""
+    path = draw(st.sampled_from(list(json_paths(payload))))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else payload
+    kinds = ["set"] + (["delete"] if path else []) + (
+        ["truncate", "extend"] if isinstance(target, list) and target else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "set":
+        value = draw(st.sampled_from(REPLACEMENTS))
+        assume(not (isinstance(value, bool) and isinstance(target, bool)))  # still valid
+        if not path:
+            return value
+        parent[path[-1]] = value
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif kind == "truncate":
+        target.pop()
+    else:
+        target.append(target[-1])
+    return payload
+
+
+class TestCheckpointFuzz:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        net = small_net(hidden=(4, 5), seed=21)
+        norm = Normalizer(Rng(1).normal(size=6), np.abs(Rng(2).normal(size=6)) + 0.5,
+                          np.array([False] * 5 + [True]))
+        save_checkpoint(net, norm, CheckpointMeta(21, 17, 0.1234), tmp / "good.json")
+        save_track_csv(generate_track(Rng(3), default_oracle(), "track_0001"),
+                       tmp / "track_0001.csv")
+        return tmp
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_damage_is_a_named_checkpoint_error(self, files, tmp_path_factory, data):
+        payload = data.draw(damaged_payloads(json.loads((files / "good.json").read_text())))
+        tmp = tmp_path_factory.mktemp("damaged")
+        ckpt, out = tmp / "ck.json", tmp / "p.csv"
+        ckpt.write_text(json.dumps(payload).replace(f'"{INF}"', "1e999"))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(ckpt)
+        assert str(err.value).startswith("ck.json: ")
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["predict", "--checkpoint", str(ckpt),
+                             "--track", str(files / "track_0001.csv"), "--out", str(out)])
+        assert (code, stderr.getvalue()) == (1, f"error: {err.value}\n")
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           activation=st.sampled_from(sorted(ACTIVATIONS)), data=st.data())
+    def test_round_trip_is_bitwise(self, tmp_path_factory, hidden, activation, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        arch = Architecture(6, hidden, 10, activation)
+        layers = [(data.draw(hnp.arrays(np.float64, dims, elements=finite)),
+                   data.draw(hnp.arrays(np.float64, dims[0], elements=finite)))
+                  for dims in arch.layer_dims()]
+        norm = Normalizer(
+            data.draw(hnp.arrays(np.float64, 6, elements=finite)),
+            data.draw(hnp.arrays(np.float64, 6, elements=st.floats(
+                0, exclude_min=True, allow_infinity=False))),
+            data.draw(hnp.arrays(bool, 6)))
+        meta = CheckpointMeta(data.draw(st.integers(-2**63, 2**64)),
+                              data.draw(st.integers(0, 10**9)), data.draw(finite))
+        path = tmp_path_factory.mktemp("round") / "ck.json"
+        save_checkpoint(NetworkParams(arch, layers), norm, meta, path)
+        loaded = load_checkpoint(path)
+        assert loaded.net.arch == arch
+        saved = [a for pair in layers for a in pair] + [norm.means, norm.stds]
+        back = [a for pair in loaded.net.layers for a in pair] + [
+            loaded.normalizer.means, loaded.normalizer.stds]
+        for a, b in zip(saved, back, strict=True):
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
+        np.testing.assert_array_equal(loaded.normalizer.constant_flags, norm.constant_flags)
+        assert loaded.meta.final_train_mse.hex() == meta.final_train_mse.hex()
+        assert (loaded.meta.seed, loaded.meta.epochs_trained) == (meta.seed, meta.epochs_trained)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from surgenet.dataset import DatasetSplit, default_oracle, generate_track
-from surgenet.errors import TrainingDivergedError
+from surgenet.errors import DomainError, TrainingDivergedError
 from surgenet.network import (
     Architecture,
     NetworkParams,
@@ -233,7 +233,7 @@ class TestBatchSampling:
         np.testing.assert_array_equal(t1, t2)
 
     def test_oversized_batch_rejected(self):
-        with pytest.raises(ValueError, match="only 2 available"):
+        with pytest.raises(DomainError, match="cannot draw 3 distinct items from 2"):
             draw_batch(Rng(13), stacked(make_tracks(2)), 3)
 
     def test_gathers_into_out(self):
