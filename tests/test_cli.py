@@ -544,8 +544,10 @@ BAD_ORACLE = st.one_of(
     st.dictionaries(UNKNOWN_KEY, st.integers(), min_size=1, max_size=3),
     st.one_of(st.lists(STATION, max_size=12).filter(lambda s: len(s) != 10),
               NOT_A_NUMBER).map(lambda s: {"stations": s}),
+    # A list of two integers is itself a (lon, lat) pair, so it is no bad station.
     st.tuples(st.lists(STATION, min_size=10, max_size=10), st.integers(0, 9),
-              st.one_of(NOT_A_NUMBER, st.lists(st.floats(), min_size=3, max_size=3))).map(
+              st.one_of(NOT_A_NUMBER.filter(lambda v: not (isinstance(v, list) and len(v) == 2)),
+                        st.lists(st.floats(), min_size=3, max_size=3))).map(
         lambda t: {"stations": [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]]}),
     st.tuples(st.sampled_from(["amplitude_m_per_hpa", "decay_km", "time_width_days"]),
               st.one_of(st.floats(max_value=0), NAN, NOT_A_NUMBER.filter(
