@@ -19,7 +19,7 @@ import yaml
 
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
-from .errors import ConfigError, SurgenetError
+from .errors import ConfigError, SurgenetError, check_fields, check_value
 from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
@@ -39,7 +39,7 @@ class RunConfig:
     prediction: str = "prediction.csv"
     track: str | None = None
     n_tracks: int = 324
-    hidden: tuple = (32, 64)
+    hidden: tuple | str | int = (32, 64)  # also "32,64" or 60; __post_init__ parses it
     activation: str = "tanh"
     epochs: int = 15000
     batch_tracks: int = _TC_DEFAULTS["batch_tracks"]
@@ -55,8 +55,7 @@ class RunConfig:
     oracle: OracleParams = field(default_factory=default_oracle)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            _check_type(f.name, getattr(self, f.name), f.type)
+        check_fields(self)
         if self.split not in SPLIT_CHOICES:
             raise ConfigError(f"split must be one of {SPLIT_CHOICES}, got {self.split!r}")
         if not 0 < self.window_days <= 1:
@@ -64,48 +63,26 @@ class RunConfig:
         if self.n_tracks < 1:
             raise ConfigError(f"n_tracks must be >= 1, got {self.n_tracks}")
         try:
-            self.hidden = _parse_hidden(self.hidden)
+            self.hidden = _architecture(self.hidden).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
             raise ConfigError(f"hidden: {exc}") from None
 
     def train_config(self) -> TrainConfig:
-        arch = Architecture(
-            input_dim=len(dataset.INPUT_COLUMNS),
-            hidden_sizes=self.hidden,
-            output_dim=dataset.N_STATIONS,
-            activation=self.activation,
-        )
         settings = {f.name: getattr(self, f.name)
                     for f in dataclasses.fields(TrainConfig) if f.name != "arch"}
-        return TrainConfig(arch=arch, **settings)
+        return TrainConfig(arch=_architecture(self.hidden, self.activation), **settings)
 
 
-# What a setting may hold beyond its annotated type: any number where a float
-# is expected, and a "32,64" string or a bare int for the hidden sizes.
-_ALSO_ACCEPTED = {float: (int,), tuple: (str, int, list)}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               str | None: "a string or null", tuple: "a list of layer sizes"}
-
-
-def _check_type(name: str, value, kind) -> None:
-    """Raise ConfigError unless value fits the field's annotation."""
-    accepted = (kind, *_ALSO_ACCEPTED.get(kind, ()))
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        expected = _TYPE_NAMES.get(kind, getattr(kind, "__name__", str(kind)))
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
-    if isinstance(value, str) and "\0" in value:  # no file path can hold one
-        raise ConfigError(f"{name} must not hold a NUL character, got {value!r}")
-
-
-def _parse_hidden(value) -> tuple:
-    """Accept "32,64", a single int, or a sequence of sizes that Architecture
-    accepts (1-2 positive integers)."""
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        value = [int(p) for p in parts]
-    elif isinstance(value, int):
-        value = [value]
-    return Architecture(len(dataset.INPUT_COLUMNS), value, dataset.N_STATIONS).hidden_sizes
+def _architecture(hidden, activation="tanh") -> Architecture:
+    """The network from the track schema's inputs to its stations, with hidden
+    sizes given as "32,64", a single int, or a sequence of sizes that
+    Architecture accepts (1-2 positive integers)."""
+    if isinstance(hidden, str):
+        parts = [p.strip() for p in hidden.split(",") if p.strip()]
+        hidden = [int(p) for p in parts]
+    elif isinstance(hidden, int):
+        hidden = [hidden]
+    return Architecture(len(dataset.INPUT_COLUMNS), hidden, dataset.N_STATIONS, activation)
 
 
 _ORACLE_KEYS = {f.name for f in dataclasses.fields(OracleParams)}
@@ -120,8 +97,8 @@ def _build_oracle(raw) -> OracleParams:
         raise ConfigError(f"unknown oracle keys: {unknown}")
     try:
         return dataclasses.replace(default_oracle(), **raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid oracle settings: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"oracle: {exc}") from None
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -167,7 +144,7 @@ _OUT_DEST = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    _check_type("config", args.config, str | None)
+    check_value("config", args.config, str | None)
     settings = load_config_file(args.config) if args.config else {}
     # A flag overrides the RunConfig field its destination names.
     for dest, value in vars(args).items():
@@ -198,8 +175,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     ckpt, history = training.train(tc, split, progress=report)
     out = Path(cfg.checkpoint)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt.net, ckpt.normalizer, ckpt.meta, out)
     history_path = out.with_name(out.stem + "_history.csv")
     training.write_history(history, history_path)
@@ -233,8 +209,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     inputs = dataset.interpolate_to_grid(raw, f"{Path(cfg.track).name}: ")
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))
     out = Path(cfg.prediction)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with dataset.atomic_write(out) as fh:
         csv.writer(fh).writerow(("tau_days", *dataset.SURGE_COLUMNS))
         fh.write(dataset.format_rows(np.hstack([inputs[:, :1], preds]), 17))

@@ -26,6 +26,8 @@ from .errors import (
     RowCountError,
     TauGridError,
     TrackValidationError,
+    check_fields,
+    check_value,
 )
 from .numerics import Rng
 
@@ -350,6 +352,12 @@ class OracleParams:
     asymmetry: float = 0.4
 
     def __post_init__(self):
+        check_fields(self)
+        for i, pair in enumerate(self.stations):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError(f"stations[{i}] must be a (lon, lat) pair, got {pair!r}")
+            for coord in pair:
+                check_value(f"stations[{i}]", coord, float)
         stations = tuple((float(lon), float(lat)) for lon, lat in self.stations)
         object.__setattr__(self, "stations", stations)
         if len(stations) != N_STATIONS:

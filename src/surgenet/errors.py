@@ -1,5 +1,11 @@
-"""Exception types shared across the package. Each derives from SurgenetError,
-and one with a builtin base keeps it (ValueError for a bad value)."""
+"""Exception types shared across the package, and the one rule for what a
+setting may hold. Each error derives from SurgenetError, and one with a
+builtin base keeps it (ValueError for a bad value)."""
+
+import dataclasses
+import numbers
+import sys
+import typing
 
 
 class SurgenetError(Exception):
@@ -74,3 +80,34 @@ class TrainingDivergedError(SurgenetError, RuntimeError):
 
 class DomainError(SurgenetError, ValueError):
     """An argument outside its function's domain, e.g. a mass outside (0, 1)."""
+
+
+# The classes a value of each annotation must belong to (builtins ahead of
+# the slower ABC checks), and its name in errors. A list stands in for a tuple,
+# as YAML has none; any other annotation is itself the class.
+_KINDS = {int: ((int, numbers.Integral), "an integer"),
+          float: ((float, int, numbers.Real), "a finite number"),
+          str: (str, "a string"), type(None): (type(None), "null"),
+          tuple: ((tuple, list), "a list")}
+
+
+def check_value(name: str, value, kind) -> None:
+    """Raise ConfigError naming name unless value fits kind, or one member of
+    a union such as str | None. Neither int nor float takes a bool, a float
+    is within the float range (so not nan or inf), and a str holds no NUL."""
+    kinds = typing.get_args(kind) or (kind,)
+    for k in kinds:
+        if (isinstance(value, _KINDS.get(k, (k,))[0]) and not isinstance(value, bool)
+                and (k is not float or abs(value) <= sys.float_info.max)):
+            break
+    else:
+        expected = " or ".join(_KINDS.get(k, (k, k.__name__))[1] for k in kinds)
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if isinstance(value, str) and "\0" in value:  # no file path can hold one
+        raise ConfigError(f"{name} must not hold a NUL character, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """check_value on each field of the dataclass obj against its annotation."""
+    for f in dataclasses.fields(obj):
+        check_value(f.name, getattr(obj, f.name), f.type)

@@ -124,7 +124,8 @@ def fit_kde(errors, location=None) -> ErrorPdf:
     if n < _MIN_KDE_SAMPLES:
         raise DomainError(f"need at least {_MIN_KDE_SAMPLES} errors, got {n}")
     if not np.abs(e).max() < 1e150:  # nan and inf fail too; beyond, e.std() overflows
-        raise DomainError("errors must be finite and below 1e150 in magnitude")
+        where = "" if location is None else f"location {location}: "
+        raise DomainError(f"{where}errors must be finite and below 1e150 in magnitude")
 
     h = float(e.std()) * n ** (-0.2)
     lo = float(e.min()) - 4.0 * h
@@ -224,10 +225,11 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     series = [(tr, predict_track(net, normalizer, tr)) for tr in tracks]
     preds = np.concatenate([p for _, p in series])
     obs = np.concatenate([tr.surge for tr, _ in series])
-    metrics = location_metrics(preds, obs)
+    # Densities first: fit_kde names the station whose errors would overflow the metrics.
     full_pdfs, window_pdfs = (
         [fit_kde(e, location=i) for i, e in enumerate(pool_errors(series, days), start=1)]
         for days in (None, window_days))
+    metrics = location_metrics(preds, obs)
     return EvaluationResult(label, metrics, full_pdfs, window_pdfs, series, window_days)
 
 

@@ -263,10 +263,11 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
         raise CheckpointVersionError(f"format_version is {version}, not {CHECKPOINT_VERSION}")
 
     raw_arch = _field(payload, "arch", "", dict)
+    n_hidden = len(_field(raw_arch, "hidden_sizes", "arch", list))
     try:
         arch = Architecture(
             input_dim=_field(raw_arch, "input_dim", "arch", int),
-            hidden_sizes=_field(raw_arch, "hidden_sizes", "arch", list),
+            hidden_sizes=_field(raw_arch, "hidden_sizes", "arch", int, n_hidden),
             output_dim=_field(raw_arch, "output_dim", "arch", int),
             activation=_field(raw_arch, "activation", "arch", str),
         )

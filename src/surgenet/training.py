@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import atomic_write
-from .errors import ConfigError, TrackValidationError, TrainingDivergedError
+from .errors import ConfigError, TrackValidationError, TrainingDivergedError, check_fields
 from .network import (
     Architecture,
     Checkpoint,
@@ -56,6 +56,7 @@ class TrainConfig:
     validation_every: int = 100  # 0 disables validation and best-checkpoint selection
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_tracks < 1:

@@ -238,6 +238,20 @@ class TestEvaluate:
         assert code == 1
         assert "window_days" in stderr
 
+    def test_overflowing_predictions_name_the_station(self, tmp_path, workspace, capsys):
+        # Squaring errors this large overflows; fit_kde refuses them first.
+        net = init_network(Architecture(6, (8,), 10), Rng(1))
+        w, b = net.layers[-1]
+        net.layers[-1] = (w * 1e200, b)
+        save_checkpoint(net, Normalizer(np.zeros(6), np.ones(6), np.zeros(6, bool)),
+                        CheckpointMeta(1, 1, 0.5), tmp_path / "huge.json")
+        code, _, stderr = run(capsys, "evaluate", "--corpus", str(workspace / "corpus"),
+                              "--checkpoint", str(tmp_path / "huge.json"),
+                              "--split", "all", "--out", str(tmp_path / "r"))
+        assert (code, stderr) == (
+            1, "error: location 1: errors must be finite and below 1e150 in magnitude\n")
+        assert not (tmp_path / "r").exists()
+
 
 class TestPredict:
     def test_full_track_file(self, tmp_path, workspace, capsys):
@@ -477,7 +491,10 @@ class TestConfigFile:
         ("hidden: {a: 1}", "hidden"), ("hidden: [32.7]", "hidden"),
         ("hidden: [true]", "hidden"), ("oracle: {stations: 5}", "oracle"),
         ("oracle: {stations: [true]}", "oracle"), ("1: 2\nepoches: 3", "epoches"),
-        ("oracle: {1: 2, amp: 3}", "amp"),
+        ("oracle: {1: 2, amp: 3}", "amp"), ("learning_rate: .inf", "learning_rate"),
+        ("adam_eps: .inf", "adam_eps"), ("oracle: {decay_km: .inf}", "oracle: decay_km"),
+        ("oracle: {amplitude_m_per_hpa: true}", "oracle: amplitude_m_per_hpa"),
+        ('oracle: {stations: [["1.5", "2"]]}', "oracle: stations[0]"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "cfg.yaml"
@@ -485,7 +502,7 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "train", "--config", str(cfg),
                               "--corpus", str(tmp_path / "none"), "--out", str(tmp_path / "m.json"))
         assert code == 1
-        assert stderr.startswith("error: ") and key in stderr
+        assert stderr.startswith("error: ") and key in stderr and stderr.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("text,value", [
@@ -528,6 +545,7 @@ NOT_AN_INT = st.one_of(NOT_A_NUMBER, st.floats().filter(lambda f: not f.is_integ
 NOT_A_STRING = st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(LETTERS, max_size=2),
                          st.dictionaries(LETTERS, LETTERS, max_size=2))
 NAN = st.just(math.nan)
+INF = st.sampled_from([math.inf, -math.inf])
 STATION = st.tuples(st.floats(-80, -74), st.floats(33, 37)).map(list)
 
 
@@ -547,11 +565,12 @@ BAD_ORACLE = st.one_of(
     # A list of two integers is itself a (lon, lat) pair, so it is no bad station.
     st.tuples(st.lists(STATION, min_size=10, max_size=10), st.integers(0, 9),
               st.one_of(NOT_A_NUMBER.filter(lambda v: not (isinstance(v, list) and len(v) == 2)),
-                        st.lists(st.floats(), min_size=3, max_size=3))).map(
+                        st.lists(st.floats(), min_size=3, max_size=3),
+                        st.lists(st.one_of(NOT_A_NUMBER, NAN, INF), min_size=2, max_size=2))).map(
         lambda t: {"stations": [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]]}),
     st.tuples(st.sampled_from(["amplitude_m_per_hpa", "decay_km", "time_width_days"]),
-              st.one_of(st.floats(max_value=0), NAN, NOT_A_NUMBER.filter(
-                  lambda v: not isinstance(v, bool)))).map(lambda kv: {kv[0]: kv[1]}),
+              st.one_of(st.floats(max_value=0), NAN, INF, NOT_A_NUMBER)).map(
+        lambda kv: {kv[0]: kv[1]}),
     outside(-1, 1, hi_open=True).map(lambda a: {"asymmetry": a}),
 )
 
@@ -560,12 +579,12 @@ BAD_SETTINGS = {
        for key in ("epochs", "batch_tracks", "workers", "n_tracks")},
     "seed": NOT_AN_INT,
     "validation_every": st.one_of(NOT_AN_INT, st.integers(max_value=-1)),
-    "learning_rate": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN),
-    "adam_eps": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN),
-    "lr_decay": st.one_of(NOT_A_NUMBER, outside(0, 1)),
-    "adam_beta1": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True)),
-    "adam_beta2": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True)),
-    "window_days": st.one_of(NOT_A_NUMBER, outside(0, 1)),
+    "learning_rate": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN, INF),
+    "adam_eps": st.one_of(NOT_A_NUMBER, st.floats(max_value=0), NAN, INF),
+    "lr_decay": st.one_of(NOT_A_NUMBER, outside(0, 1), INF),
+    "adam_beta1": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True), INF),
+    "adam_beta2": st.one_of(NOT_A_NUMBER, outside(0, 1, lo_open=False, hi_open=True), INF),
+    "window_days": st.one_of(NOT_A_NUMBER, outside(0, 1), INF),
     "split": st.one_of(NOT_A_STRING, LETTERS.filter(lambda s: s not in cli.SPLIT_CHOICES)),
     "activation": st.one_of(NOT_A_STRING, LETTERS.filter(lambda s: s not in ACTIVATIONS)),
     "hidden": st.one_of(

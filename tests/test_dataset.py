@@ -39,6 +39,7 @@ from surgenet.dataset import (
 )
 from surgenet.errors import (
     ColumnSchemaError,
+    ConfigError,
     FieldRangeError,
     NonFiniteValueError,
     RowCountError,
@@ -283,6 +284,16 @@ class TestOracleParams:
     def test_positive_scales_enforced(self):
         with pytest.raises(ValueError):
             OracleParams(stations=ORACLE.stations, decay_km=0.0)
+
+    @pytest.mark.parametrize("value", [True, math.inf])
+    def test_amplitude_must_be_a_finite_number(self, value):
+        with pytest.raises(ConfigError, match="amplitude_m_per_hpa must be a finite number"):
+            OracleParams(stations=ORACLE.stations, amplitude_m_per_hpa=value)
+
+    def test_string_station_refused(self):
+        stations = (("-75.35", "35.2"), *ORACLE.stations[1:])
+        with pytest.raises(ConfigError, match=r"stations\[0\] must be a finite number"):
+            OracleParams(stations=stations)
 
     def test_asymmetry_bounded(self):
         with pytest.raises(ValueError, match="asymmetry"):

@@ -8,13 +8,18 @@ builtin exception would surface as a traceback.
 
 import ast
 import builtins
+import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import pytest
 
 from surgenet import cli, errors
-from surgenet.errors import SurgenetError
+from surgenet.dataset import OracleParams, default_oracle
+from surgenet.errors import ConfigError, SurgenetError
+from surgenet.network import Architecture
+from surgenet.training import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "surgenet"
 SOURCES = sorted(SRC.glob("*.py"))
@@ -61,3 +66,20 @@ def test_main_catches_the_root_and_oserror_only():
 ])
 def test_builtin_bases_kept(name, base):
     assert issubclass(getattr(errors, name), base)
+
+
+# Each settings object with the arguments it needs besides the field under test.
+SETTINGS = {
+    TrainConfig: {"arch": Architecture(6, (4,), 10), "epochs": 10},
+    OracleParams: {"stations": default_oracle().stations},
+    cli.RunConfig: {},
+}
+
+
+@pytest.mark.parametrize("cls,name", [
+    (cls, f.name) for cls in SETTINGS for f in dataclasses.fields(cls) if f.type in (int, float)
+], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [True, math.nan, math.inf])
+def test_every_number_setting_refuses_booleans_and_non_finite_values(cls, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        cls(**{**SETTINGS[cls], name: value})

@@ -252,7 +252,7 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["arch"]["hidden_sizes"] = [32.7]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointFormatError, match="32.7"):
+        with pytest.raises(CheckpointFormatError, match=r"arch\.hidden_sizes holds 32\.7"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [

@@ -304,6 +304,8 @@ class TestTrainConfig:
         ("learning_rate", -1.0), ("lr_decay", 0.0), ("lr_decay", 1.1),
         ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
         ("workers", 0), ("validation_every", -1),
+        ("epochs", 2.5), ("epochs", True), ("batch_tracks", 2.0),
+        ("learning_rate", math.inf), ("adam_eps", math.inf), ("seed", 1.5),
     ])
     def test_rejects_bad_values(self, field, value):
         kw = {"epochs": 10, field: value} if field != "epochs" else {field: value}
