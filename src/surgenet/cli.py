@@ -9,6 +9,7 @@ deterministic for a given seed.
 import argparse
 import csv
 import dataclasses
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ class RunConfig:
             self.hidden = _architecture(self.hidden).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
             raise ConfigError(f"hidden: {exc}") from None
+        self.train_config()  # so every subcommand refuses a bad training setting
 
     def train_config(self) -> TrainConfig:
         settings = {f.name: getattr(self, f.name)
@@ -217,7 +219,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; main looks up each
+    command's function when it runs, so the parser holds none."""
     parser = argparse.ArgumentParser(
         prog="surgenet",
         description="Storm-surge surrogate: generate data, train, evaluate, predict.")
@@ -232,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(gen)
     gen.add_argument("--n-tracks", dest="n_tracks", type=int,
                      help="number of storms (default 324)")
-    gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train a network on a corpus")
     add_shared(tr)
@@ -245,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--workers", type=int)
     tr.add_argument("--activation", choices=sorted(ACTIVATIONS))
     tr.add_argument("--validation-every", dest="validation_every", type=int)
-    tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a checkpoint and write reports")
     add_shared(ev)
@@ -254,20 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--split", choices=SPLIT_CHOICES)
     ev.add_argument("--window", dest="window_days", type=float,
                     help="landfall half-width in days (default 0.5)")
-    ev.set_defaults(func=cmd_evaluate)
 
     pr = sub.add_parser("predict", help="predict surge for one track CSV")
     add_shared(pr)
     pr.add_argument("--checkpoint", help="checkpoint to apply")
     pr.add_argument("--track", help="input CSV with the six input columns")
-    pr.set_defaults(func=cmd_predict)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"generate": cmd_generate, "train": cmd_train, "evaluate": cmd_evaluate,
+               "predict": cmd_predict}[args.command]
     try:
-        return args.func(build_config(args))
+        return command(build_config(args))
     except (SurgenetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -94,7 +94,8 @@ _KINDS = {int: ((int, numbers.Integral), "an integer"),
 def check_value(name: str, value, kind) -> None:
     """Raise ConfigError naming name unless value fits kind, or one member of
     a union such as str | None. Neither int nor float takes a bool, a float
-    is within the float range (so not nan or inf), and a str holds no NUL."""
+    is within the float range (so not nan or inf), and a str holds no NUL.
+    The message shows at most 40 characters of the value."""
     kinds = typing.get_args(kind) or (kind,)
     for k in kinds:
         if (isinstance(value, _KINDS.get(k, (k,))[0]) and not isinstance(value, bool)
@@ -102,9 +103,9 @@ def check_value(name: str, value, kind) -> None:
             break
     else:
         expected = " or ".join(_KINDS.get(k, (k, k.__name__))[1] for k in kinds)
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        raise ConfigError(f"{name} must be {expected}, got {value!r:.40}")
     if isinstance(value, str) and "\0" in value:  # no file path can hold one
-        raise ConfigError(f"{name} must not hold a NUL character, got {value!r}")
+        raise ConfigError(f"{name} must not hold a NUL character, got {value!r:.40}")
 
 
 def check_fields(obj) -> None:

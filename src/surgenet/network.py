@@ -238,23 +238,50 @@ def _field(node: dict, key, where: str, kind, size=None):
     return number if size is not None else float(number)
 
 
+# The bytes of the last file that loaded, and the Checkpoint they hold.
+_last_loaded = (None, None)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Each field is checked by
     _field, every std must be > 0, and the network must map the track
     schema's input columns to its stations. A refusal is a CheckpointError
-    whose message starts with the file's name."""
+    whose message starts with the file's name.
+
+    A file whose bytes equal the last file that loaded is not parsed again:
+    its arrays are shared between the calls, so they are read-only."""
+    global _last_loaded
     path = Path(path)
-    try:
+    data = path.read_bytes()
+    last_data, ckpt = _last_loaded  # one read, so another thread's load cannot interleave
+    if data != last_data:
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"not UTF-8 text ({exc.reason})") from None
-        except (ValueError, RecursionError) as exc:  # nesting deeper than the stack
-            raise CheckpointFormatError(f"unparsable checkpoint: {exc}") from None
-        return _checkpoint_from(payload if type(payload) is dict else {})
-    except CheckpointError as exc:
-        exc.args = (f"{path.name}: {exc}",)
-        raise
+            ckpt = _checkpoint_from(_parse(data))
+        except CheckpointError as exc:
+            exc.args = (f"{path.name}: {exc}",)
+            raise
+        for array in (*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
+                      ckpt.normalizer.stds, ckpt.normalizer.constant_flags):
+            array.setflags(write=False)
+        _last_loaded = (data, ckpt)
+    # New containers, so a caller that rebinds a field does not change the
+    # next caller's checkpoint.
+    return Checkpoint(NetworkParams(ckpt.net.arch, list(ckpt.net.layers)), ckpt.normalizer,
+                      ckpt.meta)
+
+
+def _parse(data: bytes):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:  # newlines translated as read_text does, so parse errors keep their positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # nesting deeper than the stack
+        raise CheckpointFormatError(f"unparsable checkpoint: {exc}") from None
+    return payload if type(payload) is dict else {}
 
 
 def _checkpoint_from(payload: dict) -> Checkpoint:

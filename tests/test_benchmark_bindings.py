@@ -5,16 +5,25 @@ benchmark/spans.py replaces module attributes such as
 ``training._parallel_loss_grads`` with timing wrappers, and tags each
 ``_parallel_loss_grads`` span from that call's arguments. A rename, a deleted
 function or a reordered signature then breaks the benchmark at run time; this
-test runs a short training and an evaluation under the tracer so it breaks
-here instead.
+test runs a short training, an evaluation and two predictions under the
+tracer so it breaks here instead.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
-from surgenet.dataset import DatasetSplit, default_oracle, generate_track
+from surgenet import cli
+from surgenet.dataset import DatasetSplit, default_oracle, generate_track, save_track_csv
 from surgenet.evaluation import emit_report, evaluate_tracks
-from surgenet.network import Architecture
+from surgenet.network import (
+    Architecture,
+    CheckpointMeta,
+    fit_normalizer,
+    init_network,
+    save_checkpoint,
+)
 from surgenet.numerics import Rng
 from surgenet.training import TrainConfig, train
 
@@ -51,3 +60,25 @@ def test_traced_train_and_evaluate_record_every_layer(tmp_path):
                  "evaluation.fit_kde", "training.loss_grads", "training.backprop"):
         assert name in recorded, name
     assert all(isinstance(s.tag, int) for s in tracer.spans if s.name == "training.loss_grads")
+
+
+def test_each_predict_records_one_checkpoint_load(tmp_path):
+    # The benchmark's predict metrics divide the load_checkpoint spans by the
+    # predict calls, so a repeated load must still go through cli's binding.
+    spans = load_spans()
+    track = generate_track(Rng(3), default_oracle(), "track_0001")
+    save_track_csv(track, tmp_path / "track_0001.csv")
+    save_checkpoint(init_network(Architecture(6, (8,), 10), Rng(4)),
+                    fit_normalizer(track.inputs), CheckpointMeta(4, 1, 0.5), tmp_path / "m.json")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for call in range(2):
+            tracer.stage = call
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["predict", "--checkpoint", str(tmp_path / "m.json"),
+                                 "--track", str(tmp_path / "track_0001.csv"),
+                                 "--out", str(tmp_path / "p.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [s.stage for s in tracer.spans if s.name == "network.load_checkpoint"] == [0, 1]

@@ -22,8 +22,11 @@ from surgenet.network import (
     ACTIVATIONS,
     Architecture,
     CheckpointMeta,
+    NetworkParams,
     Normalizer,
+    forward_batch,
     init_network,
+    load_checkpoint,
     save_checkpoint,
 )
 from surgenet.numerics import Rng
@@ -341,6 +344,62 @@ class TestPredict:
         assert code == 1
         assert stderr.startswith("error: bad.json: not UTF-8")
 
+    def test_checkpoint_overwritten_in_place_is_read_again(self, tmp_path, workspace):
+        # The new file has the old one's length, and only its output weights
+        # differ (reversed), so a reader keyed on anything but the bytes
+        # would give the old network's prediction.
+        model, track = tmp_path / "model.json", workspace / "corpus" / "track_0001.csv"
+        shutil.copy(workspace / "model.json", model)
+        old = load_checkpoint(model)
+        argv = ["predict", "--checkpoint", str(model), "--track", str(track)]
+        assert run_quietly([*argv, "--out", str(tmp_path / "a.csv")]) == (0, "")
+        payload = json.loads(model.read_text())
+        payload["layers"][-1]["weights"].reverse()
+        text = json.dumps(payload, indent=1) + "\n"
+        assert len(text) == len(model.read_text()) and text != model.read_text()
+        model.write_text(text)
+        assert run_quietly([*argv, "--out", str(tmp_path / "b.csv")]) == (0, "")
+
+        w, b = old.net.layers[-1]
+        flipped = (w.ravel()[::-1].reshape(w.shape), b)
+        new = NetworkParams(old.net.arch, [*old.net.layers[:-1], flipped])
+        inputs = dataset.interpolate_to_grid(dataset.read_input_series(track))
+        expected, _ = forward_batch(new, old.normalizer.apply(inputs))
+        with open(tmp_path / "b.csv", newline="") as fh:
+            got = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]])
+        assert got.tobytes() == expected.tobytes()
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+    def test_damaged_checkpoint_after_a_good_one(self, tmp_path, workspace):
+        good, bad = workspace / "model.json", tmp_path / "bad.json"
+        payload = json.loads(good.read_text())
+        payload["normalizer"]["stds"][0] = 0
+        bad.write_text(json.dumps(payload))
+
+        def predict(ckpt, out):
+            return run_quietly(["predict", "--checkpoint", str(ckpt), "--track",
+                                str(workspace / "corpus" / "track_0001.csv"),
+                                "--out", str(tmp_path / out)])
+
+        assert predict(good, "a.csv") == (0, "")
+        for _ in range(2):
+            assert predict(bad, "b.csv") == (
+                1, "error: bad.json: normalizer.stds holds 0.0, not a value > 0\n")
+            assert not (tmp_path / "b.csv").exists()
+        assert predict(good, "c.csv") == (0, "")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_repeated_calls_write_the_same_bytes(self, tmp_path, workspace):
+        out = tmp_path / "p.csv"
+        argv = ["predict", "--checkpoint", str(workspace / "model.json"),
+                "--track", str(workspace / "corpus" / "track_0001.csv"), "--out", str(out)]
+        assert run_quietly(argv) == (0, "")
+        first = out.read_bytes()
+        for _ in range(50):
+            out.unlink()
+            assert run_quietly(argv) == (0, "")
+            assert out.read_bytes() == first
+
     def test_track_argument_required(self, tmp_path, workspace, capsys):
         code, _, stderr = run(capsys, "predict",
                               "--checkpoint", str(workspace / "model.json"),
@@ -505,6 +564,31 @@ class TestConfigFile:
         assert stderr.startswith("error: ") and key in stderr and stderr.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("line", ["activation: relu", "epochs: 0", "lr_decay: 5.0"])
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
+    def test_every_subcommand_refuses_a_bad_training_setting(self, tmp_path, workspace,
+                                                             command, line):
+        cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        cfg.write_text(line + "\n")
+        inputs = {"generate": [],
+                  "evaluate": ["--corpus", str(workspace / "corpus"),
+                               "--checkpoint", str(workspace / "model.json")],
+                  "predict": ["--checkpoint", str(workspace / "model.json"),
+                              "--track", str(workspace / "corpus" / "track_0001.csv")]}
+        _, train_error = run_quietly(["train", "--config", str(cfg), "--corpus",
+                                      str(workspace / "corpus"), "--out", str(out)])
+        assert train_error.startswith("error: ") and train_error.count("\n") == 1
+        assert run_quietly([command, "--config", str(cfg), *inputs[command],
+                            "--out", str(out)]) == (1, train_error)
+        assert not out.exists()
+
+    def test_long_value_is_cut_in_the_message(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("learning_rate: " + "9" * 400 + "\n")
+        code, stderr = run_quietly(["train", "--config", str(cfg)])
+        assert (code, stderr) == (
+            1, f"error: learning_rate must be a finite number, got {'9' * 40}\n")
+
     @pytest.mark.parametrize("text,value", [
         ("1e-3", 0.001), ("1E3", 1000.0), ("-2e-1", -0.2), (".5e1", 5.0),
     ])
@@ -513,7 +597,8 @@ class TestConfigFile:
         cfg.write_text(f"learning_rate: {text}\n")
         settings = cli.load_config_file(cfg)
         assert settings == {"learning_rate": value} and type(settings["learning_rate"]) is float
-        assert cli.RunConfig(**settings).learning_rate == value
+        if value > 0:  # RunConfig refuses a negative rate by TrainConfig's range check
+            assert cli.RunConfig(**settings).learning_rate == value
 
     def test_integers_and_strings_stay_what_they_were(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -632,9 +717,8 @@ class TestConfigFuzz:
         (tmp / "cfg.yaml").write_text(yaml.safe_dump(document))
         argv = ["train", "--config", str(tmp / "cfg.yaml")]
 
-        args = cli.build_parser().parse_args(argv)
         with pytest.raises(SurgenetError):
-            args.func(cli.build_config(args))
+            cli.cmd_train(cli.build_config(cli.build_parser().parse_args(argv)))
         code, stderr = run_quietly(argv)
         assert code == 1
         assert stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -83,3 +83,11 @@ SETTINGS = {
 def test_every_number_setting_refuses_booleans_and_non_finite_values(cls, name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         cls(**{**SETTINGS[cls], name: value})
+
+
+@pytest.mark.parametrize("value,kind", [("x" * 400, int), ("x" * 400 + "\0", str)],
+                         ids=["wrong type", "NUL"])
+def test_a_refused_value_is_cut_to_40_characters(value, kind):
+    with pytest.raises(ConfigError) as err:
+        errors.check_value("name", value, kind)
+    assert str(err.value).endswith(f"got {repr(value)[:40]}")

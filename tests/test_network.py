@@ -203,11 +203,36 @@ class TestCheckpoint:
         z = load_checkpoint(path).normalizer.apply(x)
         np.testing.assert_array_equal(z, (x - norm.means) / norm.stds)
 
+    def test_reloaded_arrays_are_shared_and_read_only(self, saved):
+        *_, path = saved
+        first, second = load_checkpoint(path), load_checkpoint(path)
+
+        def arrays(ckpt):
+            return [*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
+                    ckpt.normalizer.stds, ckpt.normalizer.constant_flags]
+
+        for a, b in zip(arrays(first), arrays(second), strict=True):
+            assert a is b
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        first.net.layers.clear()  # the next caller still gets every layer
+        assert len(load_checkpoint(path).net.layers) == 3
+
     def test_truncated_file_is_a_parse_error(self, saved):
         *_, path = saved
         path.write_text(path.read_text()[:100])
         with pytest.raises(CheckpointFormatError, match="unparsable"):
             load_checkpoint(path)
+
+    def test_parse_error_counts_a_crlf_as_one_character(self, saved):
+        *_, path = saved
+        text = path.read_text()[:100]
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"ck.json: unparsable checkpoint: {expected.value}"
 
     def test_deeply_nested_file_is_a_parse_error(self, saved):
         *_, path = saved
