@@ -39,7 +39,7 @@ class RunConfig:
     report_dir: str = "reports"
     prediction: str = "prediction.csv"
     track: str | None = None
-    n_tracks: int = 324
+    n_tracks: int = field(default=324, metadata=dict(at_least=1))
     hidden: tuple | str | int = (32, 64)  # also "32,64" or 60; __post_init__ parses it
     activation: str = "tanh"
     epochs: int = 15000
@@ -52,17 +52,13 @@ class RunConfig:
     workers: int = _TC_DEFAULTS["workers"]
     validation_every: int = _TC_DEFAULTS["validation_every"]
     split: str = "test"
-    window_days: float = 0.5
+    window_days: float = field(default=0.5, metadata=dict(above=0, at_most=1))
     oracle: OracleParams = field(default_factory=default_oracle)
 
     def __post_init__(self):
         check_fields(self)
         if self.split not in SPLIT_CHOICES:
-            raise ConfigError(f"split must be one of {SPLIT_CHOICES}, got {self.split!r}")
-        if not 0 < self.window_days <= 1:
-            raise ConfigError(f"window_days must be in (0, 1], got {self.window_days}")
-        if self.n_tracks < 1:
-            raise ConfigError(f"n_tracks must be >= 1, got {self.n_tracks}")
+            raise ConfigError(f"split must be one of {SPLIT_CHOICES}, got {self.split!r:.40}")
         try:
             self.hidden = _architecture(self.hidden).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
@@ -96,7 +92,7 @@ def _build_oracle(raw) -> OracleParams:
         raise ConfigError(f"oracle must be a mapping, got {type(raw).__name__}")
     unknown = sorted(set(raw) - _ORACLE_KEYS, key=str)
     if unknown:
-        raise ConfigError(f"unknown oracle keys: {unknown}")
+        raise ConfigError(f"unknown oracle keys: {unknown!r:.40}")
     try:
         return dataclasses.replace(default_oracle(), **raw)
     except ConfigError as exc:
@@ -130,7 +126,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config {path} must be a mapping at top level")
     unknown = sorted(set(raw) - _CONFIG_KEYS, key=str)
     if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+        raise ConfigError(f"unknown config keys: {unknown!r:.40}")
     if "oracle" in raw:
         raw["oracle"] = _build_oracle(raw["oracle"])
     return raw

@@ -10,10 +10,11 @@ in meters above mean sea level, with no astronomical tide component.
 
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -268,12 +269,12 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
         try:
             values.append(list(map(float, fields)))
         except ValueError:
-            for field, column in zip(fields, names):
+            for cell, column in zip(fields, names):
                 try:
-                    float(field)
+                    float(cell)
                 except ValueError:
                     raise TrackValidationError(
-                        f"{path.name}: unparsable value {field!r}",
+                        f"{path.name}: unparsable value {cell!r}",
                         row=r, column=column) from None
     return np.array(values, dtype=np.float64).reshape(len(values), len(names))
 
@@ -346,27 +347,22 @@ class OracleParams:
     """
 
     stations: tuple
-    amplitude_m_per_hpa: float = 0.025
-    decay_km: float = 120.0
-    time_width_days: float = 0.4
-    asymmetry: float = 0.4
+    amplitude_m_per_hpa: float = field(default=0.025, metadata=dict(above=0))
+    decay_km: float = field(default=120.0, metadata=dict(above=0))
+    time_width_days: float = field(default=0.4, metadata=dict(above=0))
+    asymmetry: float = field(default=0.4, metadata=dict(above=-1, below=1))
 
     def __post_init__(self):
         check_fields(self)
         for i, pair in enumerate(self.stations):
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ConfigError(f"stations[{i}] must be a (lon, lat) pair, got {pair!r}")
+                raise ConfigError(f"stations[{i}] must be a (lon, lat) pair, got {pair!r:.40}")
             for coord in pair:
                 check_value(f"stations[{i}]", coord, float)
         stations = tuple((float(lon), float(lat)) for lon, lat in self.stations)
         object.__setattr__(self, "stations", stations)
         if len(stations) != N_STATIONS:
             raise ConfigError(f"expected {N_STATIONS} stations, got {len(stations)}")
-        if not (self.amplitude_m_per_hpa > 0 and self.decay_km > 0
-                and self.time_width_days > 0):
-            raise ConfigError("amplitude, decay_km and time_width_days must be > 0")
-        if not abs(self.asymmetry) < 1:
-            raise ConfigError(f"asymmetry must satisfy |a| < 1, got {self.asymmetry}")
 
 
 # Station longitudes, numbered 1..10 north-east to south-west, 0.33 deg apart.
@@ -374,6 +370,7 @@ STATION_LONS = (-75.35, -75.68, -76.01, -76.34, -76.67,
                 -77.00, -77.33, -77.66, -77.99, -78.32)
 
 
+@functools.cache
 def default_oracle() -> OracleParams:
     """The ten stations on the idealized coast at the fixed longitudes."""
     return OracleParams(
@@ -469,8 +466,7 @@ def generate_track(rng: Rng, oracle: OracleParams, track_id: str = "track") -> S
 
 def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
     """Row range where |tau| <= half_width_days, clipped to the track."""
-    if not 0 < half_width_days <= 1:
-        raise ConfigError(f"half_width_days must be in (0, 1], got {half_width_days}")
+    check_value("half_width_days", half_width_days, float, above=0, at_most=1)
     mask = np.abs(track.tau) <= half_width_days + 1e-12
     rows = np.nonzero(mask)[0]
     return range(int(rows[0]), int(rows[-1]) + 1)
@@ -587,7 +583,7 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     Fewer than 7 tracks leave validation and test empty (split_sizes).
     """
     if n_tracks < 1:
-        raise ConfigError(f"need at least 1 track, got {n_tracks}")
+        raise ConfigError(f"need at least 1 track, got {n_tracks!r:.40}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     root = Rng(seed)
@@ -619,7 +615,7 @@ def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     """
     unknown = [label for label in labels if label not in SPLIT_LABELS]
     if unknown:
-        raise ConfigError(f"unknown split labels {unknown}; expected some of {SPLIT_LABELS}")
+        raise ConfigError(f"unknown split labels {unknown!r:.40}; expected some of {SPLIT_LABELS}")
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():

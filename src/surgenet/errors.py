@@ -91,11 +91,14 @@ _KINDS = {int: ((int, numbers.Integral), "an integer"),
           tuple: ((tuple, list), "a list")}
 
 
-def check_value(name: str, value, kind) -> None:
+def check_value(name: str, value, kind, *, above=None, at_least=None, below=None,
+                at_most=None) -> None:
     """Raise ConfigError naming name unless value fits kind, or one member of
-    a union such as str | None. Neither int nor float takes a bool, a float
-    is within the float range (so not nan or inf), and a str holds no NUL.
-    The message shows at most 40 characters of the value."""
+    a union such as str | None, and lies within the bounds given: above and
+    below exclude theirs, at_least and at_most include theirs, and each side
+    takes at most one. Neither int nor float takes a bool, a float is within
+    the float range (so not nan or inf), and a str holds no NUL. The message
+    shows at most 40 characters of the value."""
     kinds = typing.get_args(kind) or (kind,)
     for k in kinds:
         if (isinstance(value, _KINDS.get(k, (k,))[0]) and not isinstance(value, bool)
@@ -106,9 +109,23 @@ def check_value(name: str, value, kind) -> None:
         raise ConfigError(f"{name} must be {expected}, got {value!r:.40}")
     if isinstance(value, str) and "\0" in value:  # no file path can hold one
         raise ConfigError(f"{name} must not hold a NUL character, got {value!r:.40}")
+    if ((above is not None and not value > above)
+            or (at_least is not None and not value >= at_least)
+            or (below is not None and not value < below)
+            or (at_most is not None and not value <= at_most)):
+        low = f"({above}" if above is not None else None if at_least is None else f"[{at_least}"
+        high = f"{below})" if below is not None else None if at_most is None else f"{at_most}]"
+        if low and high:
+            expected = f"in {low}, {high}"
+        elif low:
+            expected = f"> {above}" if above is not None else f">= {at_least}"
+        else:
+            expected = f"< {below}" if below is not None else f"<= {at_most}"
+        raise ConfigError(f"{name} must be {expected}, got {value!r:.40}")
 
 
 def check_fields(obj) -> None:
-    """check_value on each field of the dataclass obj against its annotation."""
+    """check_value on each field of the dataclass obj against its annotation
+    and the bounds in its metadata, in declaration order."""
     for f in dataclasses.fields(obj):
-        check_value(f.name, getattr(obj, f.name), f.type)
+        check_value(f.name, getattr(obj, f.name), f.type, **f.metadata)

@@ -7,8 +7,7 @@ linear. Inference expects inputs that are already normalized.
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,8 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
+    check_fields,
+    check_value,
 )
 
 CHECKPOINT_VERSION = 1
@@ -37,26 +38,23 @@ class Architecture:
     One or two hidden layers; the output layer is always linear.
     """
 
-    input_dim: int
+    input_dim: int = field(metadata=dict(at_least=1))
     hidden_sizes: tuple
-    output_dim: int
+    output_dim: int = field(metadata=dict(at_least=1))
     activation: str = "tanh"
 
     def __post_init__(self):
-        for d in (self.input_dim, *self.hidden_sizes, self.output_dim):
-            if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-                raise ConfigError(f"layer sizes must be integers, got {d!r}")
+        check_fields(self)
+        for i, h in enumerate(self.hidden_sizes):
+            check_value(f"hidden_sizes[{i}]", h, int, at_least=1)
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "output_dim", int(self.output_dim))
         if len(self.hidden_sizes) not in (1, 2):
             raise ConfigError(f"expected 1 or 2 hidden layers, got {len(self.hidden_sizes)}")
-        dims = (self.input_dim, *self.hidden_sizes, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"all layer dimensions must be >= 1, got {dims}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(
-                f"unknown activation {self.activation!r}; choose from {sorted(ACTIVATIONS)}")
+                f"unknown activation {self.activation!r:.40}; choose from {sorted(ACTIVATIONS)}")
 
     def layer_dims(self) -> list:
         """(rows, cols) of each weight matrix, hidden layers first, output last."""

@@ -11,7 +11,7 @@ a single bit of what is learned.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,37 +44,22 @@ class TrainConfig:
     """Hyperparameters of one training run."""
 
     arch: Architecture
-    epochs: int
-    batch_tracks: int = 32
-    learning_rate: float = 1e-3
-    lr_decay: float = 0.9995
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    workers: int = 1  # threads that run a step's shards; never changes the result
+    epochs: int = field(metadata=dict(at_least=1))
+    batch_tracks: int = field(default=32, metadata=dict(at_least=1))
+    learning_rate: float = field(default=1e-3, metadata=dict(above=0))
+    lr_decay: float = field(default=0.9995, metadata=dict(above=0, at_most=1))
+    adam_beta1: float = field(default=0.9, metadata=dict(at_least=0, below=1))
+    adam_beta2: float = field(default=0.999, metadata=dict(at_least=0, below=1))
+    adam_eps: float = field(default=1e-8, metadata=dict(above=0))
+    # threads that run a step's shards; at a fixed BLAS thread count they
+    # never change the result
+    workers: int = field(default=1, metadata=dict(at_least=1))
     seed: int = DEFAULT_SEED
-    validation_every: int = 100  # 0 disables validation and best-checkpoint selection
+    # 0 disables validation and best-checkpoint selection
+    validation_every: int = field(default=100, metadata=dict(at_least=0))
 
     def __post_init__(self):
         check_fields(self)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_tracks < 1:
-            raise ConfigError(f"batch_tracks must be >= 1, got {self.batch_tracks}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 < self.lr_decay <= 1:
-            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0 <= beta < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.validation_every < 0:
-            raise ConfigError(f"validation_every must be >= 0, got {self.validation_every}")
 
 
 @dataclass
@@ -311,7 +296,7 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
         raise TrackValidationError("training split is empty")
     if cfg.batch_tracks > len(tracks):
         raise ConfigError(
-            f"batch_tracks = {cfg.batch_tracks} exceeds the {len(tracks)} training tracks")
+            f"batch_tracks = {cfg.batch_tracks!r:.40} exceeds the {len(tracks)} training tracks")
 
     raw_inputs = np.stack([tr.inputs for tr in tracks])
     normalizer = fit_normalizer(raw_inputs.reshape(-1, raw_inputs.shape[-1]))

@@ -589,6 +589,30 @@ class TestConfigFile:
         assert (code, stderr) == (
             1, f"error: learning_rate must be a finite number, got {'9' * 40}\n")
 
+    @pytest.mark.parametrize("document", [
+        {"split": "x" * 400}, {"activation": "x" * 400}, {"k" * 400: 1},
+        {"oracle": {"stations": [list(range(200)), *[[-76.0, 35.0]] * 9]}},
+        {"oracle": {"k" * 400: 1}}, {"epochs": -int("9" * 400)},
+    ], ids=["split", "activation", "config key", "station", "oracle key", "epochs"])
+    def test_long_value_gives_one_short_line(self, tmp_path, document):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(document))
+        code, stderr = run_quietly(["predict", "--config", str(cfg)])
+        assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert len(stderr) <= 121  # the line and its newline
+
+    def test_default_oracle_is_built_once(self):
+        args = cli.build_parser().parse_args(["generate"])
+        assert cli.build_config(args).oracle is cli.build_config(args).oracle
+
+    def test_oracle_block_builds_its_own_oracle(self, tmp_path):
+        default = dataset.default_oracle()
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("oracle:\n  decay_km: 60.0\n")
+        args = cli.build_parser().parse_args(["generate", "--config", str(cfg)])
+        assert cli.build_config(args).oracle.decay_km == 60.0
+        assert dataset.default_oracle() is default and default.decay_km == 120.0
+
     @pytest.mark.parametrize("text,value", [
         ("1e-3", 0.001), ("1E3", 1000.0), ("-2e-1", -0.2), (".5e1", 5.0),
     ])

@@ -282,7 +282,7 @@ class TestOracleParams:
             OracleParams(stations=ORACLE.stations[:9])
 
     def test_positive_scales_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^decay_km must be > 0, got 0.0$"):
             OracleParams(stations=ORACLE.stations, decay_km=0.0)
 
     @pytest.mark.parametrize("value", [True, math.inf])
@@ -296,7 +296,7 @@ class TestOracleParams:
             OracleParams(stations=stations)
 
     def test_asymmetry_bounded(self):
-        with pytest.raises(ValueError, match="asymmetry"):
+        with pytest.raises(ValueError, match=r"^asymmetry must be in \(-1, 1\), got 1.0$"):
             OracleParams(stations=ORACLE.stations, asymmetry=1.0)
 
     def test_default_station_longitudes(self):
@@ -418,7 +418,7 @@ class TestLandfallWindow:
 
     def test_half_width_validated(self):
         for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="half_width_days"):
+            with pytest.raises(ValueError, match=rf"^half_width_days must be in \(0, 1\], got {bad}$"):
                 landfall_window(make_track(), bad)
 
 

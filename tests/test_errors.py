@@ -11,14 +11,17 @@ import builtins
 import dataclasses
 import inspect
 import math
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from surgenet import cli, errors
-from surgenet.dataset import OracleParams, default_oracle
+from surgenet import cli, dataset, errors, training
+from surgenet.dataset import DatasetSplit, OracleParams, default_oracle, generate_track
 from surgenet.errors import ConfigError, SurgenetError
 from surgenet.network import Architecture
+from surgenet.numerics import Rng
 from surgenet.training import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "surgenet"
@@ -73,6 +76,7 @@ SETTINGS = {
     TrainConfig: {"arch": Architecture(6, (4,), 10), "epochs": 10},
     OracleParams: {"stations": default_oracle().stations},
     cli.RunConfig: {},
+    Architecture: {"input_dim": 6, "hidden_sizes": (4,), "output_dim": 10},
 }
 
 
@@ -91,3 +95,91 @@ def test_a_refused_value_is_cut_to_40_characters(value, kind):
     with pytest.raises(ConfigError) as err:
         errors.check_value("name", value, kind)
     assert str(err.value).endswith(f"got {repr(value)[:40]}")
+
+
+# (class, field, bound keyword) of every bound a settings field declares.
+BOUNDS = [(cls, f, key) for cls in SETTINGS for f in dataclasses.fields(cls) for key in f.metadata]
+INCLUSIVE = [(cls, f, key) for cls, f, key in BOUNDS if key in ("at_least", "at_most")]
+
+
+def bound_id(value):
+    return getattr(value, "__name__", getattr(value, "name", value))
+
+
+def nearest_outside(f, key):
+    """The value of f's type nearest its bound key that the bound refuses."""
+    bound = f.metadata[key]
+    if key in ("above", "below"):
+        return f.type(bound)
+    step = -1 if key == "at_least" else 1
+    return bound + step if f.type is int else math.nextafter(bound, step * math.inf)
+
+
+def test_each_field_declares_at_most_one_bound_per_side():
+    assert {f.name for _, f, _ in INCLUSIVE} >= {"lr_decay", "adam_beta1", "validation_every"}
+    for _, f, _ in BOUNDS:
+        assert set(f.metadata) <= {"above", "at_least", "below", "at_most"}
+        assert not {"above", "at_least"} <= set(f.metadata)
+        assert not {"below", "at_most"} <= set(f.metadata)
+
+
+@pytest.mark.parametrize("cls,f,key", BOUNDS, ids=bound_id)
+def test_the_nearest_value_outside_a_bound_is_refused(cls, f, key):
+    value = nearest_outside(f, key)
+    with pytest.raises(ConfigError, match=f"^{f.name} must be .*, got {re.escape(repr(value))}$"):
+        cls(**{**SETTINGS[cls], f.name: value})
+
+
+@pytest.mark.parametrize("cls,f,key", INCLUSIVE, ids=bound_id)
+def test_a_value_on_an_inclusive_bound_is_accepted(cls, f, key):
+    value = f.type(f.metadata[key])
+    assert getattr(cls(**{**SETTINGS[cls], f.name: value}), f.name) == value
+
+
+@pytest.mark.parametrize("cls,f,key", BOUNDS, ids=bound_id)
+def test_a_400_digit_value_outside_a_bound_is_cut(cls, f, key):
+    value = int("9" * 400) * (-1 if key in ("above", "at_least") else 1)
+    with pytest.raises(ConfigError, match=f"^{f.name} must be ") as err:
+        cls(**{**SETTINGS[cls], f.name: value})
+    assert str(err.value).endswith(f"got {repr(value)[:40]}")
+
+
+@pytest.mark.parametrize("bounds,value,expected", [
+    ({"above": 0}, 0, "> 0"), ({"at_least": 1}, 0, ">= 1"), ({"below": 1}, 1, "< 1"),
+    ({"at_most": 1}, 2, "<= 1"), ({"above": 0, "at_most": 1}, 2, "in (0, 1]"),
+    ({"at_least": 0, "below": 1}, -1, "in [0, 1)"), ({"above": -1, "below": 1}, 1, "in (-1, 1)"),
+])
+def test_range_message_form(bounds, value, expected):
+    with pytest.raises(ConfigError) as err:
+        errors.check_value("x", value, int, **bounds)
+    assert str(err.value) == f"x must be {expected}, got {value}"
+
+
+def post_init_statements(cls):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+    return [ast.unparse(statement) for statement in tree.body[0].body]
+
+
+@pytest.mark.parametrize("cls", SETTINGS, ids=bound_id)
+def test_each_settings_class_checks_its_fields_first(cls):
+    assert post_init_statements(cls)[0] == "check_fields(self)"
+
+
+def test_train_config_declares_all_of_its_ranges():
+    assert post_init_statements(TrainConfig) == ["check_fields(self)"]
+
+
+def one_track_split():
+    return DatasetSplit((generate_track(Rng(1), default_oracle(), "t"),), (), ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp: dataset.generate_corpus(-int("9" * 400), 1, default_oracle(), tmp),
+    lambda tmp: dataset.load_corpus(tmp, ["x" * 400]),
+    lambda tmp: training.train(TrainConfig(Architecture(6, (4,), 10), 1,
+                                           batch_tracks=int("9" * 400)), one_track_split()),
+], ids=["generate_corpus n_tracks", "load_corpus labels", "train batch_tracks"])
+def test_a_long_argument_gives_one_short_line(tmp_path, call):
+    with pytest.raises(ConfigError) as err:
+        call(tmp_path)
+    assert "\n" not in str(err.value) and len(str(err.value)) <= 120

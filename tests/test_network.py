@@ -51,9 +51,9 @@ class TestArchitecture:
             Architecture(6, (4, 4, 4), 10)
 
     def test_positive_dims_enforced(self):
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ValueError, match="^input_dim must be >= 1, got 0$"):
             Architecture(0, (4,), 10)
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ValueError, match=r"^hidden_sizes\[0\] must be >= 1, got 0$"):
             Architecture(6, (0,), 10)
 
     def test_unknown_activation_rejected(self):
@@ -62,7 +62,7 @@ class TestArchitecture:
 
     @pytest.mark.parametrize("hidden", [(32.7,), (True,), (32, 64.0), ("8",)])
     def test_non_integer_sizes_refused(self, hidden):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"hidden_sizes\[\d\] must be an integer"):
             Architecture(6, hidden, 10)
 
 
