@@ -24,16 +24,16 @@ from .errors import ConfigError, SurgenetError, check_fields, check_value
 from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
-_TC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+# The settings RunConfig takes from TrainConfig, with their types, defaults and ranges.
+_TRAINING_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "arch"]
 
 SPLIT_CHOICES = (*dataset.SPLIT_LABELS, "all")
 
 
 @dataclass
-class RunConfig:
-    """One flat bag of settings shared by all subcommands."""
+class _RunSettings:
+    """The settings of RunConfig that TrainConfig does not hold."""
 
-    seed: int = DEFAULT_SEED
     corpus_dir: str = "corpus"
     checkpoint: str = "out/checkpoint.json"
     report_dir: str = "reports"
@@ -42,15 +42,6 @@ class RunConfig:
     n_tracks: int = field(default=324, metadata=dict(at_least=1))
     hidden: tuple | str | int = (32, 64)  # also "32,64" or 60; __post_init__ parses it
     activation: str = "tanh"
-    epochs: int = 15000
-    batch_tracks: int = _TC_DEFAULTS["batch_tracks"]
-    learning_rate: float = _TC_DEFAULTS["learning_rate"]
-    lr_decay: float = _TC_DEFAULTS["lr_decay"]
-    adam_beta1: float = _TC_DEFAULTS["adam_beta1"]
-    adam_beta2: float = _TC_DEFAULTS["adam_beta2"]
-    adam_eps: float = _TC_DEFAULTS["adam_eps"]
-    workers: int = _TC_DEFAULTS["workers"]
-    validation_every: int = _TC_DEFAULTS["validation_every"]
     split: str = "test"
     window_days: float = field(default=0.5, metadata=dict(above=0, at_most=1))
     oracle: OracleParams = field(default_factory=default_oracle)
@@ -63,12 +54,20 @@ class RunConfig:
             self.hidden = _architecture(self.hidden).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
             raise ConfigError(f"hidden: {exc}") from None
-        self.train_config()  # so every subcommand refuses a bad training setting
+        _architecture(self.hidden, self.activation)  # every subcommand refuses a bad activation
 
     def train_config(self) -> TrainConfig:
-        settings = {f.name: getattr(self, f.name)
-                    for f in dataclasses.fields(TrainConfig) if f.name != "arch"}
-        return TrainConfig(arch=_architecture(self.hidden, self.activation), **settings)
+        return TrainConfig(arch=_architecture(self.hidden, self.activation),
+                           **{f.name: getattr(self, f.name) for f in _TRAINING_FIELDS})
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=15000 if f.name == "epochs" else f.default,
+                            metadata=f.metadata)) for f in _TRAINING_FIELDS],
+    bases=(_RunSettings,),
+    namespace={"__module__": __name__, "__doc__": "One flat bag of settings shared by all "
+               "subcommands; the training ones are TrainConfig's, but epochs defaults to 15000."})
 
 
 def _architecture(hidden, activation="tanh") -> Architecture:
@@ -238,13 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(tr)
     tr.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
     tr.add_argument("--hidden", help='hidden sizes, e.g. "32,64" or "60"')
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-tracks", dest="batch_tracks", type=int)
-    tr.add_argument("--lr", dest="learning_rate", type=float)
-    tr.add_argument("--lr-decay", dest="lr_decay", type=float)
-    tr.add_argument("--workers", type=int)
     tr.add_argument("--activation", choices=sorted(ACTIVATIONS))
-    tr.add_argument("--validation-every", dest="validation_every", type=int)
+    for f in _TRAINING_FIELDS:  # --seed is add_shared's
+        if f.name != "seed":
+            flag = "--lr" if f.name == "learning_rate" else "--" + f.name.replace("_", "-")
+            tr.add_argument(flag, dest=f.name, type=f.type)
 
     ev = sub.add_parser("evaluate", help="score a checkpoint and write reports")
     add_shared(ev)

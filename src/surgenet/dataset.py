@@ -128,7 +128,7 @@ def validate_track(track: StormTrack, where: str = "") -> None:
             f"{where}surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
     if track.inputs.shape[0] != N_ROWS or track.surge.shape[0] != N_ROWS:
         raise RowCountError(
-            f"{where}track {track.track_id!r} has {track.inputs.shape[0]} rows, "
+            f"{where}track {track.track_id!r:.40} has {track.inputs.shape[0]} rows, "
             f"expected {N_ROWS}")
 
     for block, names in ((track.inputs, INPUT_COLUMNS), (track.surge, SURGE_COLUMNS)):
@@ -274,7 +274,7 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
                     float(cell)
                 except ValueError:
                     raise TrackValidationError(
-                        f"{path.name}: unparsable value {cell!r}",
+                        f"{path.name}: unparsable value {cell!r:.40}",
                         row=r, column=column) from None
     return np.array(values, dtype=np.float64).reshape(len(values), len(names))
 
@@ -295,7 +295,7 @@ def load_track_csv(path) -> StormTrack:
         raise ColumnSchemaError(f"{path.name}: empty file")
     if tuple(header) != CSV_COLUMNS:
         raise ColumnSchemaError(
-            f"{path.name}: header {tuple(header)!r} does not match the track schema")
+            f"{path.name}: header {tuple(header)!r:.40} does not match the track schema")
     data = _float_rows(path, lines, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
     validate_track(track, f"{path.name}: ")
@@ -328,7 +328,7 @@ def split_dataset(tracks, seed: int) -> DatasetSplit:
     ids = [tr.track_id for tr in tracks]
     if len(set(ids)) != n:
         dup = next(i for i in ids if ids.count(i) > 1)
-        raise TrackValidationError(f"duplicate track id {dup!r}")
+        raise TrackValidationError(f"duplicate track id {dup!r:.40}")
     order = Rng(seed).shuffled_indices(n)
     n_train, n_val, _ = split_sizes(n)
     shuffled = [tracks[i] for i in order]
@@ -554,19 +554,19 @@ def read_manifest(path) -> list:
         track_id, file, split = fields
         if split not in SPLIT_LABELS:
             raise ColumnSchemaError(
-                f"{path.name}: unknown split label {split!r}", row=r, column="split")
+                f"{path.name}: unknown split label {split!r:.40}", row=r, column="split")
         if track_id in seen_ids:
             raise ColumnSchemaError(
-                f"{path.name}: duplicate track id {track_id!r}", row=r, column="track_id")
+                f"{path.name}: duplicate track id {track_id!r:.40}", row=r, column="track_id")
         if "\0" in file:
             raise ColumnSchemaError(
                 f"{path.name}: NUL character in track file name", row=r, column="file")
         if os.path.normpath(file) in seen_files:
             raise ColumnSchemaError(
-                f"{path.name}: duplicate track file {file!r}", row=r, column="file")
+                f"{path.name}: duplicate track file {file!r:.40}", row=r, column="file")
         if Path(file).stem != track_id:
             raise ColumnSchemaError(
-                f"{path.name}: track id {track_id!r} is not the stem of its file {file!r}",
+                f"{path.name}: track id {track_id!r:.40} is not the stem of its file {file!r:.40}",
                 row=r, column="track_id")
         seen_ids.add(track_id)
         seen_files.add(os.path.normpath(file))

@@ -27,7 +27,7 @@ class TrackValidationError(SurgenetError, ValueError):
         if row is not None:
             parts.append(f"row {row}")
         if column is not None:
-            parts.append(f"column {column!r}")
+            parts.append(f"column {column!r:.40}")
         super().__init__(" | ".join(parts))
         self.row = row
         self.column = column

@@ -221,7 +221,7 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     landfall-window error densities."""
     tracks = list(tracks)
     if not tracks:
-        raise TrackValidationError(f"no tracks in population {label!r}")
+        raise TrackValidationError(f"no tracks in population {label!r:.40}")
     series = [(tr, predict_track(net, normalizer, tr)) for tr in tracks]
     preds = np.concatenate([p for _, p in series])
     obs = np.concatenate([tr.surge for tr, _ in series])

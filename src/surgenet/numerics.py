@@ -1,8 +1,9 @@
 """Activations and the seeded random source used everywhere else in the
 package.
 
-Everything here is pure: the same inputs (and the same seed path) produce
-bitwise-identical results on every platform.
+Everything here is pure, but numpy picks its exp and tanh kernels per CPU:
+the same seed, the same numpy SIMD targets, and the same OpenBLAS core and
+thread count give the same bytes, for any number of workers.
 """
 
 import numpy as np

@@ -30,6 +30,7 @@ from surgenet.network import (
     save_checkpoint,
 )
 from surgenet.numerics import Rng
+from surgenet.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -333,6 +334,16 @@ class TestPredict:
         code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
                               "--track", str(bad), "--out", str(tmp_path / "p.csv"))
         assert (code, stderr) == (1, f"error: bad.csv: {message}\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_long_unparsable_cell_gives_one_short_line(self, tmp_path, workspace, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("tau_days,lon_deg,lat_deg,rmax_km,vmax_ms,fspeed_ms\n"
+                       f"3.0,-74.0,33.0,{'x' * 5000},30,5\n0.0,-76.5,34.8,50,30,5\n")
+        code, _, stderr = run(capsys, "predict", "--checkpoint", str(workspace / "model.json"),
+                              "--track", str(bad), "--out", str(tmp_path / "p.csv"))
+        assert code == 1 and stderr.startswith("error: bad.csv: unparsable value 'xxx")
+        assert stderr.count("\n") == 1 and len(stderr) <= 121  # the line and its newline
         assert not (tmp_path / "p.csv").exists()
 
     def test_non_utf8_checkpoint_named(self, tmp_path, capsys):
@@ -645,6 +656,25 @@ class TestConfigFile:
                  for action in p._actions}
         fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert dests - {"config", "out", "help", "command"} <= fields
+
+    def test_each_training_setting_is_declared_once(self):
+        # RunConfig's training fields and the train flags are TrainConfig's
+        # fields: same type, default and range, and one flag each.
+        run_fields = {f.name: f for f in dataclasses.fields(cli.RunConfig)}
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        train = subcommands.choices["train"]
+        flags = {action.dest: action for action in train._actions}
+        for f in dataclasses.fields(TrainConfig):
+            if f.name == "arch":
+                continue
+            run = run_fields[f.name]
+            assert (run.type, run.metadata) == (f.type, f.metadata), f.name
+            assert run.default == (15000 if f.name == "epochs" else f.default), f.name
+            if f.name != "seed":
+                assert flags[f.name].type is f.type, f.name
+        assert flags["learning_rate"].option_strings == ["--lr"]
+        assert flags["adam_beta1"].option_strings == ["--adam-beta1"]
 
 
 LETTERS = st.text(string.ascii_letters, min_size=1, max_size=6)

@@ -164,7 +164,7 @@ def reference_float_rows(path, reader, header, names):
                     float(field)
                 except ValueError:
                     raise TrackValidationError(
-                        f"{path.name}: unparsable value {field!r}",
+                        f"{path.name}: unparsable value {field!r:.40}",
                         row=r, column=column) from None
     return np.array(values, dtype=np.float64).reshape(len(values), len(names))
 
@@ -177,7 +177,7 @@ def reference_load_track_csv(path):
             raise ColumnSchemaError(f"{path.name}: empty file")
         if tuple(header) != CSV_COLUMNS:
             raise ColumnSchemaError(
-                f"{path.name}: header {tuple(header)!r} does not match the track schema")
+                f"{path.name}: header {tuple(header)!r:.40} does not match the track schema")
         data = reference_float_rows(path, reader, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
     validate_track(track, f"{path.name}: ")

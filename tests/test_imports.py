@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module; no
-linter is needed to keep an import that a change left behind from
-lingering."""
+"""Rules checked on the package's source, so that no linter is needed:
+every name a module imports is used in that module, and every message cuts
+the values it echoes."""
 
 import ast
 from pathlib import Path
@@ -23,3 +23,27 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def uncut_echoes(tree):
+    """The source of each value an f-string formats with !r and no format
+    spec, leaving out float(...) calls, whose repr is short."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                and node.format_spec is None
+                and not (isinstance(node.value, ast.Call)
+                         and isinstance(node.value.func, ast.Name)
+                         and node.value.func.id == "float")):
+            yield ast.unparse(node.value)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_echoed_value_is_cut(path):
+    # A value from a file or a setting can be any length; a message shows at
+    # most 40 characters of it, as errors.check_value does.
+    assert list(uncut_echoes(ast.parse(path.read_text()))) == []
+
+
+def test_the_echo_rule_sees_an_uncut_value():
+    tree = ast.parse('f"{a!r} {b!r:.40} {float(c)!r} {d!s} {e}"')
+    assert list(uncut_echoes(tree)) == ["a"]
