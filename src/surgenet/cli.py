@@ -2,8 +2,9 @@
 single-track prediction.
 
 Settings come from built-in defaults, then an optional YAML config file,
-then flags, each layer overriding the previous one. Every run is
-deterministic for a given seed.
+then flags, each layer overriding the previous one. A run's bytes are fixed
+by its seed and the numerics it runs on: the same numpy SIMD targets and
+OpenBLAS core and thread count, for any number of workers (see numerics).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import yaml
 
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
-from .errors import ConfigError, SurgenetError, check_fields, check_value
+from .errors import ConfigError, SurgenetError, check_fields, check_value, named
 from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
 from .training import DEFAULT_SEED, TrainConfig
 
@@ -53,7 +54,7 @@ class _RunSettings:
         try:
             self.hidden = _architecture(self.hidden).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
-            raise ConfigError(f"hidden: {exc}") from None
+            raise ConfigError(f"hidden: {exc!s:.80}") from None  # int() echoes 200 characters
         _architecture(self.hidden, self.activation)  # every subcommand refuses a bad activation
 
     def train_config(self) -> TrainConfig:
@@ -92,10 +93,8 @@ def _build_oracle(raw) -> OracleParams:
     unknown = sorted(set(raw) - _ORACLE_KEYS, key=str)
     if unknown:
         raise ConfigError(f"unknown oracle keys: {unknown!r:.40}")
-    try:
+    with named("oracle"):
         return dataclasses.replace(default_oracle(), **raw)
-    except ConfigError as exc:
-        raise ConfigError(f"oracle: {exc}") from None
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -117,8 +116,13 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     try:
         raw = yaml.load(text, Loader=_ConfigLoader)
-    except (yaml.YAMLError, RecursionError) as exc:  # nesting deeper than the stack
-        raise ConfigError(f"unparsable config {path}: {exc}") from None
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: a scalar YAML cannot convert, such as a 5000-digit integer;
+        # RecursionError: nesting deeper than the stack.
+        mark = getattr(exc, "problem_mark", None)
+        detail = (f"{exc.problem:.60} at line {mark.line + 1}, column {mark.column + 1}"
+                  if mark and getattr(exc, "problem", None) else str(exc).partition("\n")[0][:80])
+        raise ConfigError(f"unparsable config {path}: {detail}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -202,8 +206,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.track:
         raise ConfigError("predict needs --track (or the 'track' config key)")
     ckpt = load_checkpoint(cfg.checkpoint)
-    raw = dataset.read_input_series(cfg.track)
-    inputs = dataset.interpolate_to_grid(raw, f"{Path(cfg.track).name}: ")
+    raw = dataset.read_input_series(cfg.track)  # names its file itself
+    with named(Path(cfg.track).name):
+        inputs = dataset.interpolate_to_grid(raw)
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))
     out = Path(cfg.prediction)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -29,6 +29,7 @@ from .errors import (
     TrackValidationError,
     check_fields,
     check_value,
+    named,
 )
 from .numerics import Rng
 
@@ -114,52 +115,45 @@ class StormTrack:
         return self.inputs[:, 0]
 
 
-def validate_track(track: StormTrack, where: str = "") -> None:
-    """Check shape, the tau grid, finiteness, and physical field ranges.
-
-    where, if given (e.g. "track_0001.csv: "), prefixes every error message.
-    """
+def validate_track(track: StormTrack) -> None:
+    """Check shape, the tau grid, finiteness, and physical field ranges."""
     if track.inputs.ndim != 2 or track.inputs.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"{where}inputs must have {len(INPUT_COLUMNS)} columns, "
-            f"got shape {track.inputs.shape}")
+            f"inputs must have {len(INPUT_COLUMNS)} columns, got shape {track.inputs.shape}")
     if track.surge.ndim != 2 or track.surge.shape[1] != N_STATIONS:
         raise ColumnSchemaError(
-            f"{where}surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
+            f"surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
     if track.inputs.shape[0] != N_ROWS or track.surge.shape[0] != N_ROWS:
         raise RowCountError(
-            f"{where}track {track.track_id!r:.40} has {track.inputs.shape[0]} rows, "
-            f"expected {N_ROWS}")
+            f"track {track.track_id!r:.40} has {track.inputs.shape[0]} rows, expected {N_ROWS}")
 
     for block, names in ((track.inputs, INPUT_COLUMNS), (track.surge, SURGE_COLUMNS)):
         finite = np.isfinite(block)
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
-            raise NonFiniteValueError(f"{where}non-finite value", row=int(r), column=names[c])
+            raise NonFiniteValueError("non-finite value", row=int(r), column=names[c])
 
     expected_tau = tau_grid()
     off = np.abs(track.tau - expected_tau) > 1e-9
     if off.any():
         r = int(np.argmax(off))
         raise TauGridError(
-            f"{where}tau must count down from +3 to -1 in 1/48 steps; "
-            f"got {float(track.tau[r])!r}",
+            f"tau must count down from +3 to -1 in 1/48 steps; got {float(track.tau[r])!r}",
             row=r, column="tau_days")
 
-    _check_input_ranges(track.inputs, where)
+    _check_input_ranges(track.inputs)
 
 
-def _check_input_ranges(inputs: np.ndarray, where: str = "") -> None:
-    """Check the physical ranges of (n, 6) input rows: rmax_km > 0, vmax_ms >= 0
-    and fspeed_ms >= 0. The first violation raises FieldRangeError naming its
-    row and column; where, if given, prefixes the message."""
+def _check_input_ranges(inputs: np.ndarray) -> None:
+    """Check (n, 6) input rows: rmax_km > 0, vmax_ms >= 0 and fspeed_ms >= 0.
+    The first violation raises FieldRangeError naming its row and column."""
     for column, lo in (("rmax_km", True), ("vmax_ms", False), ("fspeed_ms", False)):
         vals = inputs[:, INPUT_COLUMNS.index(column)]
         bad = vals <= 0 if lo else vals < 0
         if bad.any():
             r = int(np.argmax(bad))
             bound = "> 0" if lo else ">= 0"
-            raise FieldRangeError(f"{where}{column} must be {bound}, got {float(vals[r])!r}",
+            raise FieldRangeError(f"{column} must be {bound}, got {float(vals[r])!r}",
                                   row=r, column=column)
 
 
@@ -208,32 +202,32 @@ def format_rows(block, digits: int, lead: str = "") -> str:
     return "".join([lead + line % tuple(row) for row in block.tolist()])
 
 
-def _records(path: Path, lines, header=False):
+def _records(lines, header=False):
     """csv.reader over lines. A record csv refuses, such as one with a field
     longer than csv.field_size_limit(), raises TrackValidationError naming
-    the file and the data row (0-based), or the header if header is set."""
+    the data row (0-based), or the header if header is set."""
     r = -1  # the last record read
     try:
         for r, fields in enumerate(csv.reader(lines)):
             yield fields
     except csv.Error as exc:
-        raise TrackValidationError(f"{path.name}: {'header: ' if header else ''}{exc}",
+        raise TrackValidationError(f"{'header: ' if header else ''}{exc}",
                                    row=None if header else r + 1) from None
 
 
 def _read_csv(path: Path) -> tuple:
     """The header fields of a UTF-8 CSV file (None if it is empty) and its
     remaining lines, split where csv.reader splits them: at CR LF, CR or LF.
-    Other bytes raise TrackValidationError naming the file."""
+    Other bytes raise TrackValidationError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             buf = io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
-        raise TrackValidationError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    return next(_records(path, buf, header=True), None), buf.readlines()
+        raise TrackValidationError(f"not UTF-8 text ({exc.reason})") from None
+    return next(_records(buf, header=True), None), buf.readlines()
 
 
-def _float_rows(path: Path, lines, header, names) -> np.ndarray:
+def _float_rows(lines, header, names) -> np.ndarray:
     """Parse the data lines, each len(header) fields wide, and return the
     columns called names, in that order, as floats.
 
@@ -246,8 +240,7 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
 
     Otherwise each line is parsed with csv.reader and one float() per field;
     only when one fails is the row searched for the field to name. That loop
-    raises every error: each names the file, the data row (0-based) and the
-    column.
+    raises every error: each names the data row (0-based) and the column.
     """
     pick = None if tuple(header) == tuple(names) else [header.index(c) for c in names]
     # Quotes are left to csv.reader, and numpy warns on a body of blank lines only.
@@ -260,10 +253,9 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
                 pick is None or all(line.count(",") == len(header) - 1 for line in lines)):
             return data
     values = []
-    for r, fields in enumerate(_records(path, lines)):
+    for r, fields in enumerate(_records(lines)):
         if len(fields) != len(header):
-            raise ColumnSchemaError(
-                f"{path.name}: expected {len(header)} fields, got {len(fields)}", row=r)
+            raise ColumnSchemaError(f"expected {len(header)} fields, got {len(fields)}", row=r)
         if pick is not None:
             fields = [fields[i] for i in pick]
         try:
@@ -273,9 +265,8 @@ def _float_rows(path: Path, lines, header, names) -> np.ndarray:
                 try:
                     float(cell)
                 except ValueError:
-                    raise TrackValidationError(
-                        f"{path.name}: unparsable value {cell!r:.40}",
-                        row=r, column=column) from None
+                    raise TrackValidationError(f"unparsable value {cell!r:.40}",
+                                               row=r, column=column) from None
     return np.array(values, dtype=np.float64).reshape(len(values), len(names))
 
 
@@ -288,17 +279,19 @@ def save_track_csv(track: StormTrack, path) -> None:
 
 
 def load_track_csv(path) -> StormTrack:
-    """Parse and validate one storm-track file; track id is the file stem."""
+    """Parse and validate one storm-track file; track id is the file stem.
+    A refusal's message starts with the file's name."""
     path = Path(path)
-    header, lines = _read_csv(path)
-    if header is None:
-        raise ColumnSchemaError(f"{path.name}: empty file")
-    if tuple(header) != CSV_COLUMNS:
-        raise ColumnSchemaError(
-            f"{path.name}: header {tuple(header)!r:.40} does not match the track schema")
-    data = _float_rows(path, lines, header, CSV_COLUMNS)
-    track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
-    validate_track(track, f"{path.name}: ")
+    with named(path.name):
+        header, lines = _read_csv(path)
+        if header is None:
+            raise ColumnSchemaError("empty file")
+        if tuple(header) != CSV_COLUMNS:
+            raise ColumnSchemaError(
+                f"header {tuple(header)!r:.40} does not match the track schema")
+        data = _float_rows(lines, header, CSV_COLUMNS)
+        track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
+        validate_track(track)
     return track
 
 
@@ -472,27 +465,27 @@ def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
     return range(int(rows[0]), int(rows[-1]) + 1)
 
 
-def interpolate_to_grid(raw_inputs, where: str = "") -> np.ndarray:
+def interpolate_to_grid(raw_inputs) -> np.ndarray:
     """Linearly interpolate irregular input rows onto the 30-minute tau grid.
 
     Rows may come in any tau order and spacing; values outside the given tau
     range hold the nearest boundary value. A single row extends as constant.
     A non-finite cell or a repeated tau is refused, naming its row (in input
-    order) and column after the prefix where (e.g. "in.csv: ").
+    order) and column.
     """
     x = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
     if x.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"{where}expected {len(INPUT_COLUMNS)} input columns, got shape {x.shape}")
+            f"expected {len(INPUT_COLUMNS)} input columns, got shape {x.shape}")
     finite = np.isfinite(x)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise NonFiniteValueError(f"{where}non-finite value", row=int(r), column=INPUT_COLUMNS[c])
+        raise NonFiniteValueError("non-finite value", row=int(r), column=INPUT_COLUMNS[c])
     order = np.argsort(x[:, 0], kind="stable")
     repeats = order[1:][np.diff(x[order, 0]) == 0]  # rows whose tau an earlier row has
     if repeats.size:
         r = int(repeats.min())
-        raise TauGridError(f"{where}duplicate tau value {float(x[r, 0])!r}",
+        raise TauGridError(f"duplicate tau value {float(x[r, 0])!r}",
                            row=r, column="tau_days")
     x = x[order]
     grid = tau_grid()
@@ -505,18 +498,19 @@ def interpolate_to_grid(raw_inputs, where: str = "") -> np.ndarray:
 def read_input_series(path) -> np.ndarray:
     """Read prediction inputs: a CSV with at least the six input columns by
     name; surge and other extra columns are ignored. Rows must pass
-    _check_input_ranges."""
+    _check_input_ranges. A refusal's message starts with the file's name."""
     path = Path(path)
-    header, lines = _read_csv(path)
-    if header is None:
-        raise ColumnSchemaError(f"{path.name}: empty file")
-    missing = [c for c in INPUT_COLUMNS if c not in header]
-    if missing:
-        raise ColumnSchemaError(f"{path.name}: missing input columns {missing}")
-    rows = _float_rows(path, lines, header, INPUT_COLUMNS)
-    if len(rows) == 0:
-        raise RowCountError(f"{path.name}: no data rows")
-    _check_input_ranges(rows, f"{path.name}: ")
+    with named(path.name):
+        header, lines = _read_csv(path)
+        if header is None:
+            raise ColumnSchemaError("empty file")
+        missing = [c for c in INPUT_COLUMNS if c not in header]
+        if missing:
+            raise ColumnSchemaError(f"missing input columns {missing}")
+        rows = _float_rows(lines, header, INPUT_COLUMNS)
+        if len(rows) == 0:
+            raise RowCountError("no data rows")
+        _check_input_ranges(rows)
     return rows
 
 
@@ -540,37 +534,36 @@ def read_manifest(path) -> list:
     its track id nor its file (compared after os.path.normpath) is already
     taken by an earlier row, so no track file sits in two splits, and that
     the track id is its file's stem, the id load_track_csv gives the track.
+    A refusal's message starts with the file's name.
     """
     path = Path(path)
-    header, lines = _read_csv(path)
-    if header != ["track_id", "file", "split"]:
-        raise ColumnSchemaError(f"{path.name}: not a corpus manifest")
     entries = []
     seen_ids, seen_files = set(), set()
-    for r, fields in enumerate(_records(path, lines)):
-        if len(fields) != 3:
-            raise ColumnSchemaError(
-                f"{path.name}: expected 3 fields, got {len(fields)}", row=r)
-        track_id, file, split = fields
-        if split not in SPLIT_LABELS:
-            raise ColumnSchemaError(
-                f"{path.name}: unknown split label {split!r:.40}", row=r, column="split")
-        if track_id in seen_ids:
-            raise ColumnSchemaError(
-                f"{path.name}: duplicate track id {track_id!r:.40}", row=r, column="track_id")
-        if "\0" in file:
-            raise ColumnSchemaError(
-                f"{path.name}: NUL character in track file name", row=r, column="file")
-        if os.path.normpath(file) in seen_files:
-            raise ColumnSchemaError(
-                f"{path.name}: duplicate track file {file!r:.40}", row=r, column="file")
-        if Path(file).stem != track_id:
-            raise ColumnSchemaError(
-                f"{path.name}: track id {track_id!r:.40} is not the stem of its file {file!r:.40}",
-                row=r, column="track_id")
-        seen_ids.add(track_id)
-        seen_files.add(os.path.normpath(file))
-        entries.append((track_id, file, split))
+    with named(path.name):
+        header, lines = _read_csv(path)
+        if header != ["track_id", "file", "split"]:
+            raise ColumnSchemaError("not a corpus manifest")
+        for r, fields in enumerate(_records(lines)):
+            if len(fields) != 3:
+                raise ColumnSchemaError(f"expected 3 fields, got {len(fields)}", row=r)
+            track_id, file, split = fields
+            if split not in SPLIT_LABELS:
+                raise ColumnSchemaError(
+                    f"unknown split label {split!r:.40}", row=r, column="split")
+            if track_id in seen_ids:
+                raise ColumnSchemaError(
+                    f"duplicate track id {track_id!r:.40}", row=r, column="track_id")
+            if "\0" in file:
+                raise ColumnSchemaError("NUL character in track file name", row=r, column="file")
+            if os.path.normpath(file) in seen_files:
+                raise ColumnSchemaError(f"duplicate track file {file!r:.40}", row=r, column="file")
+            if Path(file).stem != track_id:  # two echoed values, 18 characters each
+                raise ColumnSchemaError(
+                    f"track id {track_id!r:.18} is not the stem of its file {file!r:.18}",
+                    row=r, column="track_id")
+            seen_ids.add(track_id)
+            seen_files.add(os.path.normpath(file))
+            entries.append((track_id, file, split))
     return entries
 
 

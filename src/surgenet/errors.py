@@ -2,6 +2,7 @@
 setting may hold. Each error derives from SurgenetError, and one with a
 builtin base keeps it (ValueError for a bad value)."""
 
+import contextlib
 import dataclasses
 import numbers
 import sys
@@ -10,6 +11,18 @@ import typing
 
 class SurgenetError(Exception):
     """Root of every error the package raises for bad input or a failed run."""
+
+
+@contextlib.contextmanager
+def named(prefix: str):
+    """Start the message of a SurgenetError raised in the block with "prefix: ",
+    and re-raise the same object, so its class, row, column and cause stay.
+    Readers name their file this way, once each; an OSError names its own path."""
+    try:
+        yield
+    except SurgenetError as exc:
+        exc.args = (f"{prefix}: {exc}",)
+        raise
 
 
 class DimensionMismatchError(SurgenetError, ValueError):

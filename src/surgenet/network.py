@@ -16,7 +16,6 @@ from . import numerics
 from .dataset import INPUT_COLUMNS, N_STATIONS, atomic_write
 from .errors import (
     CheckpointDimensionError,
-    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigError,
@@ -24,6 +23,7 @@ from .errors import (
     DomainError,
     check_fields,
     check_value,
+    named,
 )
 
 CHECKPOINT_VERSION = 1
@@ -224,7 +224,7 @@ def _field(node: dict, key, where: str, kind, size=None):
         bad = next(v for v in items if type(v) not in types)
         raise CheckpointFormatError(f"{name} holds {bad!r:.40}, not {noun}")
     if size is not None and len(value) != size:
-        raise CheckpointDimensionError(f"{name} must hold {size} values, got {len(value)}")
+        raise CheckpointDimensionError(f"{name} must hold {size!r:.40} values, got {len(value)}")
     if kind is not float:
         return value
     try:
@@ -253,11 +253,8 @@ def load_checkpoint(path) -> Checkpoint:
     data = path.read_bytes()
     last_data, ckpt = _last_loaded  # one read, so another thread's load cannot interleave
     if data != last_data:
-        try:
+        with named(path.name):
             ckpt = _checkpoint_from(_parse(data))
-        except CheckpointError as exc:
-            exc.args = (f"{path.name}: {exc}",)
-            raise
         for array in (*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
                       ckpt.normalizer.stds, ckpt.normalizer.constant_flags):
             array.setflags(write=False)
@@ -278,14 +275,15 @@ def _parse(data: bytes):
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # nesting deeper than the stack
-        raise CheckpointFormatError(f"unparsable checkpoint: {exc}") from None
+        raise CheckpointFormatError(f"unparsable checkpoint: {exc!s:.80}") from None
     return payload if type(payload) is dict else {}
 
 
 def _checkpoint_from(payload: dict) -> Checkpoint:
     version = _field(payload, "format_version", "", int)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"format_version is {version}, not {CHECKPOINT_VERSION}")
+        raise CheckpointVersionError(
+            f"format_version is {version!r:.40}, not {CHECKPOINT_VERSION}")
 
     raw_arch = _field(payload, "arch", "", dict)
     n_hidden = len(_field(raw_arch, "hidden_sizes", "arch", list))
@@ -299,9 +297,9 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
     except ConfigError as exc:
         raise CheckpointFormatError(f"arch: {exc}") from None
     if (arch.input_dim, arch.output_dim) != (len(INPUT_COLUMNS), N_STATIONS):
-        raise CheckpointDimensionError(
-            f"network maps {arch.input_dim} inputs to {arch.output_dim} outputs, but tracks "
-            f"have {len(INPUT_COLUMNS)} input columns and {N_STATIONS} stations")
+        raise CheckpointDimensionError(  # two echoed values, 18 characters each
+            f"network maps {arch.input_dim!r:.18} inputs to {arch.output_dim!r:.18} outputs, "
+            f"but tracks have {len(INPUT_COLUMNS)} input columns and {N_STATIONS} stations")
 
     raw_norm = _field(payload, "normalizer", "", dict)
     means = _field(raw_norm, "means", "normalizer", float, arch.input_dim)
@@ -318,8 +316,9 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
         where = f"layers[{i}]"
         stored = (_field(raw, "rows", where, int), _field(raw, "cols", where, int))
         if stored != (rows, cols):
-            raise CheckpointDimensionError(
-                f"{where}: architecture implies shape {(rows, cols)}, file stores {stored}")
+            raise CheckpointDimensionError(  # two echoed values, 18 characters each
+                f"{where}: architecture implies shape {(rows, cols)!r:.18}, "
+                f"file stores {stored!r:.18}")
         w = _field(raw, "weights", where, float, rows * cols)
         layers.append((w.reshape(rows, cols), _field(raw, "bias", where, float, rows)))
 

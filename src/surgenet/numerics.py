@@ -46,13 +46,6 @@ def sigmoid_act(v, out=None) -> np.ndarray:
     return np.clip(out, _ZERO_ABOVE, _ONE_BELOW, out=out)
 
 
-def _generator_for(path: tuple) -> np.random.Generator:
-    # Child indices go through spawn_key, not entropy: SeedSequence pads short
-    # entropy with zero words, so (seed, 0) as entropy would collide with (seed,).
-    seq = np.random.SeedSequence(entropy=path[0], spawn_key=path[1:])
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 class Rng:
     """Deterministic random source (PCG64) addressed by a seed path.
 
@@ -61,22 +54,18 @@ class Rng:
     stream depends only on (parent path, index).
     """
 
-    def __init__(self, seed: int):
-        self._path = (int(seed) % 2**64,)
-        self._gen = _generator_for(self._path)
-
-    @classmethod
-    def _from_path(cls, path: tuple) -> "Rng":
-        rng = object.__new__(cls)
-        rng._path = path
-        rng._gen = _generator_for(path)
-        return rng
+    def __init__(self, seed: int, *path: int):
+        self._path = (int(seed) % 2**64, *path)
+        # Child indices go through spawn_key, not entropy: SeedSequence pads short
+        # entropy with zero words, so (seed, 0) as entropy would collide with (seed,).
+        seq = np.random.SeedSequence(entropy=self._path[0], spawn_key=path)
+        self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def child(self, index: int) -> "Rng":
         """Independent generator keyed by (this path, index)."""
         if index < 0:
             raise DomainError(f"child index must be >= 0, got {index}")
-        return Rng._from_path(self._path + (int(index),))
+        return Rng(*self._path, int(index))
 
     def normal(self, mean=0.0, std=1.0, size=None):
         if std < 0:

@@ -45,7 +45,7 @@ from surgenet.dataset import (
     validate_track,
     write_manifest,
 )
-from surgenet.errors import ColumnSchemaError, RowCountError, TrackValidationError
+from surgenet.errors import ColumnSchemaError, RowCountError, TrackValidationError, named
 from surgenet.evaluation import (
     E_STAR_MASS,
     METRICS_HEADER,
@@ -180,7 +180,8 @@ def reference_load_track_csv(path):
                 f"{path.name}: header {tuple(header)!r:.40} does not match the track schema")
         data = reference_float_rows(path, reader, header, CSV_COLUMNS)
     track = StormTrack(path.stem, data[:, :len(INPUT_COLUMNS)], data[:, len(INPUT_COLUMNS):])
-    validate_track(track, f"{path.name}: ")
+    with named(path.name):
+        validate_track(track)
     return track
 
 
@@ -196,7 +197,8 @@ def reference_read_input_series(path):
         rows = reference_float_rows(path, reader, header, INPUT_COLUMNS)
     if len(rows) == 0:
         raise RowCountError(f"{path.name}: no data rows")
-    dataset._check_input_ranges(rows, f"{path.name}: ")
+    with named(path.name):
+        dataset._check_input_ranges(rows)
     return rows
 
 
@@ -209,8 +211,9 @@ def reference_rows(path, names):
 def parsed_rows(path, names):
     """The columns called names of a CSV file, as the track and predict
     readers parse them."""
-    header, lines = dataset._read_csv(path)
-    return dataset._float_rows(path, lines, header, names)
+    with named(path.name):
+        header, lines = dataset._read_csv(path)
+        return dataset._float_rows(lines, header, names)
 
 
 def outcome(load, path):

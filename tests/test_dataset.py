@@ -45,6 +45,7 @@ from surgenet.errors import (
     RowCountError,
     TauGridError,
     TrackValidationError,
+    named,
 )
 from surgenet.numerics import Rng
 
@@ -486,7 +487,8 @@ class TestInterpolateToGrid:
         # Rows 2 and 3 repeat an earlier tau; the first of them is named.
         with pytest.raises(ValueError, match=r"^in.csv: duplicate tau value 1.0 \| row 2 \| "
                                              r"column 'tau_days'$"):
-            interpolate_to_grid(raw, "in.csv: ")
+            with named("in.csv"):
+                interpolate_to_grid(raw)
 
     def test_non_finite_rejected(self):
         raw = np.array([[0.0, np.nan, 10.0, 50.0, 30.0, 5.0]])
