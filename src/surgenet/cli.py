@@ -22,8 +22,8 @@ import yaml
 from . import dataset, evaluation, training
 from .dataset import OracleParams, default_oracle
 from .errors import ConfigError, SurgenetError, check_fields, check_value, named
-from .network import ACTIVATIONS, Architecture, forward_batch, load_checkpoint, save_checkpoint
-from .training import DEFAULT_SEED, TrainConfig
+from .network import Architecture, forward_batch, load_checkpoint, save_checkpoint
+from .training import TrainConfig
 
 # The settings RunConfig takes from TrainConfig, with their types, defaults and ranges.
 _TRAINING_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "arch"]
@@ -135,13 +135,23 @@ def load_config_file(path) -> dict:
     return raw
 
 
-# --out means "this subcommand's primary output path".
-_OUT_DEST = {
-    "generate": "corpus_dir",
-    "train": "checkpoint",
-    "evaluate": "report_dir",
-    "predict": "prediction",
+# Each subcommand's help and the RunConfig fields it takes as flags, besides
+# --config and --seed: --out sets the first, and the rest are spelled "--"
+# plus the name with "-" for "_", or as _FLAG_NAMES says.
+_SUBCOMMANDS = {
+    "generate": ("write a synthetic storm corpus", ("corpus_dir", "n_tracks")),
+    "train": ("train a network on a corpus",
+              ("checkpoint", "corpus_dir", "hidden", "activation",
+               *(f.name for f in _TRAINING_FIELDS if f.name != "seed"))),
+    "evaluate": ("score a checkpoint and write reports",
+                 ("report_dir", "corpus_dir", "checkpoint", "split", "window_days")),
+    "predict": ("predict surge for one track CSV", ("prediction", "checkpoint", "track")),
 }
+_FLAG_NAMES = {"corpus_dir": "--corpus", "learning_rate": "--lr", "window_days": "--window"}
+# What a flag sets, where its name does not say enough.
+_FLAG_HELP = {"hidden": 'hidden sizes, e.g. "32,64" or "60"',
+              "window_days": "landfall half-width in days",
+              "track": "input CSV with the six input columns"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -151,8 +161,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for dest, value in vars(args).items():
         if dest in _CONFIG_KEYS and value is not None:
             settings[dest] = value
-    if getattr(args, "out", None) is not None:
-        settings[_OUT_DEST[args.command]] = args.out
     return RunConfig(**settings)
 
 
@@ -222,44 +230,23 @@ def cmd_predict(cfg: RunConfig) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; main looks up each
-    command's function when it runs, so the parser holds none."""
+    command's function when it runs, so the parser holds none. Each flag is
+    a RunConfig field, with that field's name, number type and default."""
     parser = argparse.ArgumentParser(
         prog="surgenet",
         description="Storm-surge surrogate: generate data, train, evaluate, predict.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p):
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for command, (summary, (out, *names)) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="YAML config file; flags override it")
-        p.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", help="primary output path of this subcommand")
-
-    gen = sub.add_parser("generate", help="write a synthetic storm corpus")
-    add_shared(gen)
-    gen.add_argument("--n-tracks", dest="n_tracks", type=int,
-                     help="number of storms (default 324)")
-
-    tr = sub.add_parser("train", help="train a network on a corpus")
-    add_shared(tr)
-    tr.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
-    tr.add_argument("--hidden", help='hidden sizes, e.g. "32,64" or "60"')
-    tr.add_argument("--activation", choices=sorted(ACTIVATIONS))
-    for f in _TRAINING_FIELDS:  # --seed is add_shared's
-        if f.name != "seed":
-            flag = "--lr" if f.name == "learning_rate" else "--" + f.name.replace("_", "-")
-            tr.add_argument(flag, dest=f.name, type=f.type)
-
-    ev = sub.add_parser("evaluate", help="score a checkpoint and write reports")
-    add_shared(ev)
-    ev.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
-    ev.add_argument("--checkpoint", help="checkpoint to evaluate")
-    ev.add_argument("--split", choices=SPLIT_CHOICES)
-    ev.add_argument("--window", dest="window_days", type=float,
-                    help="landfall half-width in days (default 0.5)")
-
-    pr = sub.add_parser("predict", help="predict surge for one track CSV")
-    add_shared(pr)
-    pr.add_argument("--checkpoint", help="checkpoint to apply")
-    pr.add_argument("--track", help="input CSV with the six input columns")
+        p.add_argument("--out", dest=out,
+                       help=f"primary output path (default {fields[out].default})")
+        for name in ("seed", *names):
+            f = fields[name]
+            p.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                           type=f.type if f.type in (int, float) else None,
+                           help=f"{_FLAG_HELP.get(name, '')} (default {f.default})".lstrip())
     return parser
 
 

@@ -211,7 +211,7 @@ def _records(lines, header=False):
         for r, fields in enumerate(csv.reader(lines)):
             yield fields
     except csv.Error as exc:
-        raise TrackValidationError(f"{'header: ' if header else ''}{exc}",
+        raise TrackValidationError(f"{'header: ' if header else ''}{exc!s:.80}",
                                    row=None if header else r + 1) from None
 
 
@@ -575,8 +575,7 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     split shuffle draws from the root stream, which the children never touch.
     Fewer than 7 tracks leave validation and test empty (split_sizes).
     """
-    if n_tracks < 1:
-        raise ConfigError(f"need at least 1 track, got {n_tracks!r:.40}")
+    check_value("n_tracks", n_tracks, int, at_least=1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     root = Rng(seed)

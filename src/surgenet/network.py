@@ -46,7 +46,8 @@ class Architecture:
     def __post_init__(self):
         check_fields(self)
         for i, h in enumerate(self.hidden_sizes):
-            check_value(f"hidden_sizes[{i}]", h, int, at_least=1)
+            # at most 1024, so a typo such as 1000000 is refused before it sizes buffers
+            check_value(f"hidden_sizes[{i}]", h, int, at_least=1, at_most=1024)
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "output_dim", int(self.output_dim))
@@ -134,7 +135,7 @@ def fit_normalizer(inputs) -> Normalizer:
     try:
         data = np.asarray(inputs, dtype=np.float64)
     except ValueError as exc:
-        raise DimensionMismatchError(f"rows have differing lengths: {exc}") from None
+        raise DimensionMismatchError(f"rows have differing lengths: {exc!s:.80}") from None
     if data.ndim != 2 or len(data) == 0:
         raise DimensionMismatchError(
             f"expected at least one row of scalars, got shape {data.shape}")

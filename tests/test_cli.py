@@ -153,6 +153,14 @@ class TestTrain:
         assert code == 1
         assert "hidden" in stderr
 
+    def test_huge_hidden_size_refused_in_one_line(self, tmp_path, workspace):
+        out = tmp_path / "m.json"
+        code, stderr = run_quietly(["train", "--corpus", str(workspace / "corpus"),
+                                    "--hidden", "1" + "0" * 40, "--out", str(out)])
+        assert code == 1
+        assert stderr.startswith("error: hidden: hidden_sizes[0] must be in [1, 1024], got ")
+        assert stderr.count("\n") == 1 and not out.exists()
+
     def test_test_split_files_are_not_read(self, tmp_path, workspace, capsys):
         corpus, _ = damaged_corpus(workspace, tmp_path / "corpus", "test")
         args = ["train", "--seed", "33", "--hidden", "8", "--epochs", "10",
@@ -593,6 +601,24 @@ class TestConfigFile:
                             "--out", str(out)]) == (1, train_error)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("train", "activation", "relu",
+         "unknown activation 'relu'; choose from ['sigmoid', 'tanh']"),
+        ("evaluate", "split", "bogus",
+         "split must be one of ('train', 'val', 'test', 'all'), got 'bogus'"),
+    ])
+    def test_bad_flag_value_is_refused_as_in_a_config(self, tmp_path, workspace, command, key,
+                                                      value, message):
+        cfg, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        cfg.write_text(f"{key}: {value}\n")
+        inputs = ["--corpus", str(workspace / "corpus"), "--out", str(out)]
+        if command == "evaluate":
+            inputs += ["--checkpoint", str(workspace / "model.json")]
+        flag = run_quietly([command, "--" + key, value, *inputs])
+        assert flag == (1, f"error: {message}\n")
+        assert run_quietly([command, "--config", str(cfg), *inputs]) == flag
+        assert not out.exists()
+
     def test_long_value_is_cut_in_the_message(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("learning_rate: " + "9" * 400 + "\n")
@@ -675,6 +701,39 @@ class TestConfigFile:
                 assert flags[f.name].type is f.type, f.name
         assert flags["learning_rate"].option_strings == ["--lr"]
         assert flags["adam_beta1"].option_strings == ["--adam-beta1"]
+
+    # Each subcommand's option strings, besides -h and --help, and the field
+    # its --out sets.
+    OPTIONS = {
+        "generate": ("corpus_dir", {"--config", "--out", "--seed", "--n-tracks"}),
+        "train": ("checkpoint", {
+            "--config", "--out", "--seed", "--corpus", "--hidden", "--activation", "--epochs",
+            "--batch-tracks", "--lr", "--lr-decay", "--adam-beta1", "--adam-beta2",
+            "--adam-eps", "--workers", "--validation-every"}),
+        "evaluate": ("report_dir", {"--config", "--out", "--seed", "--corpus", "--checkpoint",
+                                    "--split", "--window"}),
+        "predict": ("prediction", {"--config", "--out", "--seed", "--checkpoint", "--track"}),
+    }
+
+    def test_every_flag_is_declared_from_its_field(self):
+        # A flag's destination, number type and shown default are its RunConfig
+        # field's; its values are checked by RunConfig alone, so argparse gets
+        # no choices and no default.
+        fields = {f.name: f for f in dataclasses.fields(cli.RunConfig)}
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        assert subcommands.choices.keys() == self.OPTIONS.keys()
+        for command, parser in subcommands.choices.items():
+            out, options = self.OPTIONS[command]
+            flags = {action.option_strings[0]: action for action in parser._actions
+                     if action.dest not in ("help", "config")}
+            assert {"--config", *flags} == options, command
+            assert flags["--out"].dest == out, command
+            for flag, action in flags.items():
+                f = fields[action.dest]
+                assert action.type is (f.type if f.type in (int, float) else None), flag
+                assert (action.default, action.choices) == (None, None), flag
+                assert action.help.endswith(f"(default {f.default})"), flag
 
 
 LETTERS = st.text(string.ascii_letters, min_size=1, max_size=6)

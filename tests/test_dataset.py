@@ -715,5 +715,5 @@ class TestCorpus:
             load_corpus(tmp_path)
 
     def test_zero_tracks_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="^n_tracks must be >= 1, got 0$"):
             generate_corpus(0, 1, ORACLE, tmp_path / "c")

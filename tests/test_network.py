@@ -53,8 +53,17 @@ class TestArchitecture:
     def test_positive_dims_enforced(self):
         with pytest.raises(ValueError, match="^input_dim must be >= 1, got 0$"):
             Architecture(0, (4,), 10)
-        with pytest.raises(ValueError, match=r"^hidden_sizes\[0\] must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^hidden_sizes\[0\] must be in \[1, 1024\], got 0$"):
             Architecture(6, (0,), 10)
+
+    def test_hidden_sizes_bounded_above(self):
+        # Refused before any array is sized; no large network is built.
+        assert Architecture(6, (1024, 1), 10).hidden_sizes == (1024, 1)
+        bound = r"must be in \[1, 1024\], got "
+        with pytest.raises(ValueError, match=rf"^hidden_sizes\[0\] {bound}1025$"):
+            Architecture(6, (1025,), 10)
+        with pytest.raises(ValueError, match=rf"^hidden_sizes\[1\] {bound}1000"):
+            Architecture(6, (4, 10 ** 40), 10)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="relu"):

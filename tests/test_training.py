@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,37 @@ class TestParallelGradient:
         with pytest.raises(TrainingDivergedError, match="epoch 2$"):
             train(dataclasses.replace(cfg, learning_rate=1e300), split)
         assert threading.active_count() == threads
+
+    # Prints the weight hash of a 30-epoch run on 16 tracks, whose batch of 12
+    # tracks (2316 rows) is 2 shards, for 1 and then 2 workers.
+    CORE_SCRIPT = """
+import hashlib
+from surgenet.dataset import DatasetSplit, default_oracle, generate_track
+from surgenet.network import Architecture
+from surgenet.numerics import Rng
+from surgenet.training import TrainConfig, train
+tracks = tuple(generate_track(Rng(7).child(i), default_oracle(), f"t{i}") for i in range(16))
+for workers in (1, 2):
+    cfg = TrainConfig(Architecture(6, (32, 64), 10), 30, batch_tracks=12, workers=workers,
+                      validation_every=0)
+    ckpt, _ = train(cfg, DatasetSplit(tracks, (), ()))
+    print(hashlib.sha256(b"".join(a.tobytes() for layer in ckpt.net.layers
+                                  for a in layer)).hexdigest())
+"""
+
+    @pytest.mark.parametrize("core", [None, "Haswell"], ids=["native", "Haswell"])
+    def test_workers_agree_on_each_openblas_core(self, core):
+        # OpenBLAS picks its kernels per CPU at load time, and OPENBLAS_CORETYPE
+        # picks another, so this runs in a fresh process for each core.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        hashes = subprocess.run([sys.executable, "-c", self.CORE_SCRIPT], env=env, check=True,
+                                capture_output=True, text=True, timeout=300).stdout.split()
+        assert len(hashes) == 2 and hashes[0] == hashes[1]
 
 
 class TestTrainConfig:
