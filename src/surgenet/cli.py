@@ -27,6 +27,7 @@ from .training import TrainConfig
 
 # The settings RunConfig takes from TrainConfig, with their types, defaults and ranges.
 _TRAINING_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "arch"]
+_ACTIVATION = next(f for f in dataclasses.fields(Architecture) if f.name == "activation")
 
 SPLIT_CHOICES = (*dataset.SPLIT_LABELS, "all")
 
@@ -42,20 +43,17 @@ class _RunSettings:
     track: str | None = None
     n_tracks: int = field(default=324, metadata=dict(at_least=1))
     hidden: tuple | str | int = (32, 64)  # also "32,64" or 60; __post_init__ parses it
-    activation: str = "tanh"
-    split: str = "test"
+    activation: str = field(default=_ACTIVATION.default, metadata=_ACTIVATION.metadata)
+    split: str = field(default="test", metadata=dict(choices=SPLIT_CHOICES))
     window_days: float = field(default=0.5, metadata=dict(above=0, at_most=1))
     oracle: OracleParams = field(default_factory=default_oracle)
 
     def __post_init__(self):
         check_fields(self)
-        if self.split not in SPLIT_CHOICES:
-            raise ConfigError(f"split must be one of {SPLIT_CHOICES}, got {self.split!r:.40}")
         try:
-            self.hidden = _architecture(self.hidden).hidden_sizes
+            self.hidden = _architecture(self.hidden, self.activation).hidden_sizes
         except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
             raise ConfigError(f"hidden: {exc!s:.80}") from None  # int() echoes 200 characters
-        _architecture(self.hidden, self.activation)  # every subcommand refuses a bad activation
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(arch=_architecture(self.hidden, self.activation),
@@ -71,7 +69,7 @@ RunConfig = dataclasses.make_dataclass(
                "subcommands; the training ones are TrainConfig's, but epochs defaults to 15000."})
 
 
-def _architecture(hidden, activation="tanh") -> Architecture:
+def _architecture(hidden, activation) -> Architecture:
     """The network from the track schema's inputs to its stations, with hidden
     sizes given as "32,64", a single int, or a sequence of sizes that
     Architecture accepts (1-2 positive integers)."""
@@ -113,7 +111,7 @@ def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+        raise ConfigError(f"config {path!s:.40}: not UTF-8 text ({exc.reason})") from None
     try:
         raw = yaml.load(text, Loader=_ConfigLoader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
@@ -122,11 +120,11 @@ def load_config_file(path) -> dict:
         mark = getattr(exc, "problem_mark", None)
         detail = (f"{exc.problem:.60} at line {mark.line + 1}, column {mark.column + 1}"
                   if mark and getattr(exc, "problem", None) else str(exc).partition("\n")[0][:80])
-        raise ConfigError(f"unparsable config {path}: {detail}") from None
+        raise ConfigError(f"unparsable config {path!s:.40}: {detail}") from None
     if raw is None:
         return {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a mapping at top level")
+        raise ConfigError(f"config {path!s:.40} must be a mapping at top level")
     unknown = sorted(set(raw) - _CONFIG_KEYS, key=str)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown!r:.40}")
@@ -202,7 +200,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         ckpt.net, ckpt.normalizer, tracks, cfg.split, window_days=cfg.window_days)
     metrics_path, series_path = evaluation.emit_report(result, cfg.report_dir)
     mean_mse = sum(m.mse for m in result.metrics) / len(result.metrics)
-    min_r = min(m.r for m in result.metrics)
+    # nan if any station's r is nan; min() would skip one unless it came first
+    min_r = np.min([m.r for m in result.metrics])
     print(f"split {cfg.split}: {len(tracks)} tracks, mean mse {mean_mse:.6f}, "
           f"min r {min_r:.4f}")
     print(f"wrote {metrics_path} and {series_path}")
@@ -257,7 +256,11 @@ def main(argv=None) -> int:
     try:
         return command(build_config(args))
     except (SurgenetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # cut each path it names
+            paths = (f"{p!r:.40}" for p in (exc.filename, exc.filename2) if p is not None)
+            message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -35,7 +35,6 @@ from .numerics import Rng
 
 N_ROWS = 193
 LANDFALL_ROW = 144  # tau = 0 here; 144 rows before, 48 after
-TAU_STEP_DAYS = 1.0 / 48.0
 N_STATIONS = 10
 
 INPUT_COLUMNS = ("tau_days", "lon_deg", "lat_deg", "rmax_km", "vmax_ms", "fspeed_ms")
@@ -49,7 +48,6 @@ KM_PER_DEG_LON = KM_PER_DEG_LAT * math.cos(math.radians(REF_LAT_DEG))
 
 # Idealized coastline: a parabola bending north-east, lat = base + bend*(lon-west)^2.
 COAST_LON_WEST = -78.6
-COAST_LON_EAST = -75.0
 COAST_LAT_BASE = 33.9
 COAST_BEND = 0.18
 
@@ -119,10 +117,10 @@ def validate_track(track: StormTrack) -> None:
     """Check shape, the tau grid, finiteness, and physical field ranges."""
     if track.inputs.ndim != 2 or track.inputs.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"inputs must have {len(INPUT_COLUMNS)} columns, got shape {track.inputs.shape}")
+            f"inputs must have {len(INPUT_COLUMNS)} columns, got shape {track.inputs.shape!s:.40}")
     if track.surge.ndim != 2 or track.surge.shape[1] != N_STATIONS:
         raise ColumnSchemaError(
-            f"surge must have {N_STATIONS} columns, got shape {track.surge.shape}")
+            f"surge must have {N_STATIONS} columns, got shape {track.surge.shape!s:.40}")
     if track.inputs.shape[0] != N_ROWS or track.surge.shape[0] != N_ROWS:
         raise RowCountError(
             f"track {track.track_id!r:.40} has {track.inputs.shape[0]} rows, expected {N_ROWS}")
@@ -611,7 +609,7 @@ def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
+        raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir!s:.40}")
     buckets = {label: [] for label in SPLIT_LABELS}
     for _, file, split in read_manifest(manifest):
         if split in labels:

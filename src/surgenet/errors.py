@@ -16,12 +16,13 @@ class SurgenetError(Exception):
 @contextlib.contextmanager
 def named(prefix: str):
     """Start the message of a SurgenetError raised in the block with "prefix: ",
-    and re-raise the same object, so its class, row, column and cause stay.
-    Readers name their file this way, once each; an OSError names its own path."""
+    cut to 40 characters, and re-raise the same object, so its class, row,
+    column and cause stay. Readers name their file this way, once each; an
+    OSError names its own path."""
     try:
         yield
     except SurgenetError as exc:
-        exc.args = (f"{prefix}: {exc}",)
+        exc.args = (f"{prefix:.40}: {exc}",)
         raise
 
 
@@ -105,13 +106,13 @@ _KINDS = {int: ((int, numbers.Integral), "an integer"),
 
 
 def check_value(name: str, value, kind, *, above=None, at_least=None, below=None,
-                at_most=None) -> None:
+                at_most=None, choices=None) -> None:
     """Raise ConfigError naming name unless value fits kind, or one member of
-    a union such as str | None, and lies within the bounds given: above and
-    below exclude theirs, at_least and at_most include theirs, and each side
-    takes at most one. Neither int nor float takes a bool, a float is within
-    the float range (so not nan or inf), and a str holds no NUL. The message
-    shows at most 40 characters of the value."""
+    a union such as str | None, is one of choices if given, and lies within
+    the bounds given: above and below exclude theirs, at_least and at_most
+    include theirs, and each side takes at most one. Neither int nor float
+    takes a bool, a float is within the float range (so not nan or inf), and
+    a str holds no NUL. The message shows at most 40 characters of the value."""
     kinds = typing.get_args(kind) or (kind,)
     for k in kinds:
         if (isinstance(value, _KINDS.get(k, (k,))[0]) and not isinstance(value, bool)
@@ -122,6 +123,8 @@ def check_value(name: str, value, kind, *, above=None, at_least=None, below=None
         raise ConfigError(f"{name} must be {expected}, got {value!r:.40}")
     if isinstance(value, str) and "\0" in value:  # no file path can hold one
         raise ConfigError(f"{name} must not hold a NUL character, got {value!r:.40}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r:.40}")
     if ((above is not None and not value > above)
             or (at_least is not None and not value >= at_least)
             or (below is not None and not value < below)
@@ -139,6 +142,6 @@ def check_value(name: str, value, kind, *, above=None, at_least=None, below=None
 
 def check_fields(obj) -> None:
     """check_value on each field of the dataclass obj against its annotation
-    and the bounds in its metadata, in declaration order."""
+    and the choices or bounds in its metadata, in declaration order."""
     for f in dataclasses.fields(obj):
         check_value(f.name, getattr(obj, f.name), f.type, **f.metadata)

@@ -167,7 +167,7 @@ def _within(pdf: ErrorPdf, e):
 def prob_within(pdf: ErrorPdf, bound: float) -> float:
     """P(|error| <= bound): trapezoidal integral of the density on [-b, b]."""
     if not bound > 0:
-        raise DomainError(f"bound must be > 0, got {bound}")
+        raise DomainError(f"bound must be > 0, got {bound!s:.40}")
     if pdf.point_mass is not None:
         return 1.0 if abs(pdf.point_mass) <= bound else 0.0
     return float(_within(pdf, bound))
@@ -181,7 +181,7 @@ def quantile_interval(pdf: ErrorPdf, mass: float) -> float:
     closed form on the segment where it reaches mass.
     """
     if not 0 < mass < 1:
-        raise DomainError(f"mass must be in (0, 1), got {mass}")
+        raise DomainError(f"mass must be in (0, 1), got {mass!s:.40}")
     if pdf.point_mass is not None:
         return abs(pdf.point_mass)
     knots = np.sort(np.abs(np.concatenate([[0.0], pdf.grid])))

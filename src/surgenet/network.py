@@ -5,6 +5,7 @@ Hidden layers use a bounded activation (tanh by default); the output layer is
 linear. Inference expects inputs that are already normalized.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,24 +39,22 @@ class Architecture:
     One or two hidden layers; the output layer is always linear.
     """
 
-    input_dim: int = field(metadata=dict(at_least=1))
+    # Every layer size is at most 1024, so a typo such as 1000000 is refused
+    # before it sizes buffers.
+    input_dim: int = field(metadata=dict(at_least=1, at_most=1024))
     hidden_sizes: tuple
-    output_dim: int = field(metadata=dict(at_least=1))
-    activation: str = "tanh"
+    output_dim: int = field(metadata=dict(at_least=1, at_most=1024))
+    activation: str = field(default="tanh", metadata=dict(choices=tuple(sorted(ACTIVATIONS))))
 
     def __post_init__(self):
         check_fields(self)
         for i, h in enumerate(self.hidden_sizes):
-            # at most 1024, so a typo such as 1000000 is refused before it sizes buffers
             check_value(f"hidden_sizes[{i}]", h, int, at_least=1, at_most=1024)
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "output_dim", int(self.output_dim))
         if len(self.hidden_sizes) not in (1, 2):
             raise ConfigError(f"expected 1 or 2 hidden layers, got {len(self.hidden_sizes)}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r:.40}; choose from {sorted(ACTIVATIONS)}")
 
     def layer_dims(self) -> list:
         """(rows, cols) of each weight matrix, hidden layers first, output last."""
@@ -156,6 +155,12 @@ class CheckpointMeta:
     epochs_trained: int
     final_train_mse: float
 
+    def __post_init__(self):
+        check_fields(self)
+        # plain numbers, as json cannot write a numpy integer
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
+
 
 @dataclass
 class Checkpoint:
@@ -173,12 +178,7 @@ def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) 
             raise DomainError("refusing to save non-finite parameters")
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "arch": {
-            "input_dim": net.arch.input_dim,
-            "hidden_sizes": list(net.arch.hidden_sizes),
-            "output_dim": net.arch.output_dim,
-            "activation": net.arch.activation,
-        },
+        "arch": dataclasses.asdict(net.arch),
         "normalizer": {
             "means": np.asarray(normalizer.means).tolist(),
             "stds": np.asarray(normalizer.stds).tolist(),
@@ -193,20 +193,15 @@ def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) 
             }
             for w, b in net.layers
         ],
-        "meta": {
-            "seed": int(meta.seed),
-            "epochs_trained": int(meta.epochs_trained),
-            "final_train_mse": float(meta.final_train_mse),
-        },
+        "meta": dataclasses.asdict(meta),
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 # Per kind of checkpoint field: the types json.loads gives for it, and its name.
-_KINDS = {dict: ((dict,), "an object"), list: ((list,), "a list"), str: ((str,), "a string"),
-          bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-          float: ((int, float), "a finite number")}
+_KINDS = {dict: ((dict,), "an object"), bool: ((bool,), "a boolean"),
+          int: ((int,), "an integer"), float: ((int, float), "a finite number")}
 
 
 def _field(node: dict, key, where: str, kind, size=None):
@@ -242,10 +237,11 @@ _last_loaded = (None, None)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint. Each field is checked by
-    _field, every std must be > 0, and the network must map the track
-    schema's input columns to its stations. A refusal is a CheckpointError
-    whose message starts with the file's name.
+    """Read a checkpoint written by save_checkpoint. The arch and meta blocks
+    are checked by the dataclasses they build, each other field by _field;
+    every std must be > 0, and the network must map the track schema's input
+    columns to its stations. A refusal is a CheckpointError whose message
+    starts with the file's name.
 
     A file whose bytes equal the last file that loaded is not parsed again:
     its arrays are shared between the calls, so they are read-only."""
@@ -254,8 +250,11 @@ def load_checkpoint(path) -> Checkpoint:
     data = path.read_bytes()
     last_data, ckpt = _last_loaded  # one read, so another thread's load cannot interleave
     if data != last_data:
-        with named(path.name):
-            ckpt = _checkpoint_from(_parse(data))
+        try:
+            with named(path.name):
+                ckpt = _checkpoint_from(_parse(data))
+        except ConfigError as exc:  # a stored value its dataclass or check_value refused
+            raise CheckpointFormatError(*exc.args) from None
         for array in (*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
                       ckpt.normalizer.stds, ckpt.normalizer.constant_flags):
             array.setflags(write=False)
@@ -286,17 +285,7 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
         raise CheckpointVersionError(
             f"format_version is {version!r:.40}, not {CHECKPOINT_VERSION}")
 
-    raw_arch = _field(payload, "arch", "", dict)
-    n_hidden = len(_field(raw_arch, "hidden_sizes", "arch", list))
-    try:
-        arch = Architecture(
-            input_dim=_field(raw_arch, "input_dim", "arch", int),
-            hidden_sizes=_field(raw_arch, "hidden_sizes", "arch", int, n_hidden),
-            output_dim=_field(raw_arch, "output_dim", "arch", int),
-            activation=_field(raw_arch, "activation", "arch", str),
-        )
-    except ConfigError as exc:
-        raise CheckpointFormatError(f"arch: {exc}") from None
+    arch = _dataclass(payload, "arch", Architecture)
     if (arch.input_dim, arch.output_dim) != (len(INPUT_COLUMNS), N_STATIONS):
         raise CheckpointDimensionError(  # two echoed values, 18 characters each
             f"network maps {arch.input_dim!r:.18} inputs to {arch.output_dim!r:.18} outputs, "
@@ -306,9 +295,7 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
     means = _field(raw_norm, "means", "normalizer", float, arch.input_dim)
     stds = _field(raw_norm, "stds", "normalizer", float, arch.input_dim)
     flags = np.asarray(_field(raw_norm, "constant_flags", "normalizer", bool, arch.input_dim))
-    if not (stds > 0).all():
-        raise CheckpointFormatError(
-            f"normalizer.stds holds {float(stds.min())!r}, not a value > 0")
+    check_value("normalizer.stds", float(stds.min()), float, above=0)
 
     dims = arch.layer_dims()
     raw_layers = _field(payload, "layers", "", dict, len(dims))
@@ -323,10 +310,17 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
         w = _field(raw, "weights", where, float, rows * cols)
         layers.append((w.reshape(rows, cols), _field(raw, "bias", where, float, rows)))
 
-    raw_meta = _field(payload, "meta", "", dict)
-    meta = CheckpointMeta(
-        seed=_field(raw_meta, "seed", "meta", int),
-        epochs_trained=_field(raw_meta, "epochs_trained", "meta", int),
-        final_train_mse=_field(raw_meta, "final_train_mse", "meta", float),
-    )
+    meta = _dataclass(payload, "meta", CheckpointMeta)
     return Checkpoint(NetworkParams(arch, layers), Normalizer(means, stds, flags), meta)
+
+
+def _dataclass(payload: dict, key: str, cls):
+    """The dataclass cls built from the object payload[key], which must hold
+    each of its fields; cls checks their values, and errors name key."""
+    block = _field(payload, key, "", dict)
+    names = [f.name for f in dataclasses.fields(cls)]
+    for name in names:
+        if name not in block:
+            raise CheckpointFormatError(f"{key}.{name} is missing")
+    with named(key):
+        return cls(**{name: block[name] for name in names})

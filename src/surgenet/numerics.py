@@ -64,23 +64,23 @@ class Rng:
     def child(self, index: int) -> "Rng":
         """Independent generator keyed by (this path, index)."""
         if index < 0:
-            raise DomainError(f"child index must be >= 0, got {index}")
+            raise DomainError(f"child index must be >= 0, got {index!s:.40}")
         return Rng(*self._path, int(index))
 
     def normal(self, mean=0.0, std=1.0, size=None):
         if std < 0:
-            raise DomainError(f"std must be >= 0, got {std}")
+            raise DomainError(f"std must be >= 0, got {std!s:.40}")
         return self._gen.normal(mean, std, size)
 
     def uniform(self, low, high, size=None):
         if not low <= high:
-            raise DomainError(f"empty uniform range [{low}, {high}]")
+            raise DomainError(f"empty uniform range [{low!s:.40}, {high!s:.40}]")
         return self._gen.uniform(low, high, size)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices drawn uniformly from range(n)."""
         if k > n:
-            raise DomainError(f"cannot draw {k} distinct items from {n}")
+            raise DomainError(f"cannot draw {k!s:.40} distinct items from {n!s:.40}")
         return self._gen.choice(n, size=k, replace=False)
 
     def shuffled_indices(self, n: int) -> np.ndarray:

@@ -264,6 +264,21 @@ class TestEvaluate:
             1, "error: location 1: errors must be finite and below 1e150 in magnitude\n")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("station", [0, 1])
+    def test_min_r_is_nan_wherever_the_constant_station_sits(self, tmp_path, workspace,
+                                                             capsys, station):
+        # A zeroed output row predicts a constant series, whose r is undefined.
+        ckpt = load_checkpoint(workspace / "model.json")
+        w, b = (a.copy() for a in ckpt.net.layers[-1])
+        w[station], b[station] = 0.0, 0.0
+        net = NetworkParams(ckpt.net.arch, [*ckpt.net.layers[:-1], (w, b)])
+        save_checkpoint(net, ckpt.normalizer, ckpt.meta, tmp_path / "flat.json")
+        code, stdout, _ = run(capsys, "evaluate", "--corpus", str(workspace / "corpus"),
+                              "--checkpoint", str(tmp_path / "flat.json"),
+                              "--split", "all", "--out", str(tmp_path / "r"))
+        assert code == 0
+        assert stdout.splitlines()[0].endswith(", min r nan")
+
 
 class TestPredict:
     def test_full_track_file(self, tmp_path, workspace, capsys):
@@ -403,7 +418,7 @@ class TestPredict:
         assert predict(good, "a.csv") == (0, "")
         for _ in range(2):
             assert predict(bad, "b.csv") == (
-                1, "error: bad.json: normalizer.stds holds 0.0, not a value > 0\n")
+                1, "error: bad.json: normalizer.stds must be > 0, got 0.0\n")
             assert not (tmp_path / "b.csv").exists()
         assert predict(good, "c.csv") == (0, "")
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
@@ -461,13 +476,17 @@ class TestDamagedCheckpoint:
         (("layers", 0, "weights"), [[0.5, 1.0], [2.0]],
          "layers[0].weights holds [0.5, 1.0], not a finite number"),
         (("layers", 0, "weights"), [0.5] * 47, "layers[0].weights must hold 48 values, got 47"),
-        (("normalizer", "stds", 0), 0, "normalizer.stds holds 0.0, not a value > 0"),
-        (("normalizer", "stds", 0), -1.0, "normalizer.stds holds -1.0, not a value > 0"),
+        (("normalizer", "stds", 0), 0, "normalizer.stds must be > 0, got 0.0"),
+        (("normalizer", "stds", 0), -1.0, "normalizer.stds must be > 0, got -1.0"),
         (("normalizer", "constant_flags", 0), "no",
          "normalizer.constant_flags holds 'no', not a boolean"),
-        (("meta", "seed"), None, "meta.seed holds None, not an integer"),
+        (("meta", "seed"), None, "meta: seed must be an integer, got None"),
+        (("arch", "hidden_sizes", 0), 32.7, "arch: hidden_sizes[0] must be an integer, got 32.7"),
+        (("arch", "activation"), "relu",
+         "arch: activation must be one of ('sigmoid', 'tanh'), got 'relu'"),
     ], ids=["dict in means", "string in means", "dict as weights", "ragged weights",
-            "short weights", "zero std", "negative std", "string flag", "null seed"])
+            "short weights", "zero std", "negative std", "string flag", "null seed",
+            "fractional hidden size", "unknown activation"])
     def test_refused_with_file_and_field_named(self, tmp_path, workspace, path, value, message):
         payload = json.loads((workspace / "model.json").read_text())
         assert payload["normalizer"]["constant_flags"][0] is False
@@ -553,7 +572,7 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "generate", "--config", str(cfg),
                               "--out", str(tmp_path / "c"))
         assert (code, stderr.count("\n")) == (1, 1)
-        assert stderr.startswith(f"error: unparsable config {cfg}: ")
+        assert stderr.startswith(f"error: unparsable config {str(cfg):.40}: ")
 
     def test_non_utf8_config_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -561,7 +580,7 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "generate", "--config", str(cfg),
                               "--out", str(tmp_path / "c"))
         assert code == 1
-        assert stderr.startswith(f"error: config {cfg}: not UTF-8")
+        assert stderr.startswith(f"error: config {str(cfg):.40}: not UTF-8")
 
     @pytest.mark.parametrize("line,key", [
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
@@ -603,7 +622,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command,key,value,message", [
         ("train", "activation", "relu",
-         "unknown activation 'relu'; choose from ['sigmoid', 'tanh']"),
+         "activation must be one of ('sigmoid', 'tanh'), got 'relu'"),
         ("evaluate", "split", "bogus",
          "split must be one of ('train', 'val', 'test', 'all'), got 'bogus'"),
     ])
@@ -637,6 +656,17 @@ class TestConfigFile:
         code, stderr = run_quietly(["predict", "--config", str(cfg)])
         assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
         assert len(stderr) <= 121  # the line and its newline
+
+    @pytest.mark.parametrize("command,flag", [("predict", "--checkpoint"), ("train", "--corpus")])
+    @pytest.mark.parametrize("path", ["x" * 3000, "abcdefghij/" * 60 + "end"],
+                             ids=["long name", "deep path"])
+    def test_long_path_gives_one_short_line(self, tmp_path, workspace, command, flag, path):
+        track = (["--track", str(workspace / "corpus" / "track_0001.csv")]
+                 if command == "predict" else [])
+        code, stderr = run_quietly([command, flag, path, *track, "--out", str(tmp_path / "out")])
+        assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert len(stderr) <= 121  # the line and its newline
+        assert not (tmp_path / "out").exists()
 
     def test_default_oracle_is_built_once(self):
         args = cli.build_parser().parse_args(["generate"])
@@ -701,6 +731,13 @@ class TestConfigFile:
                 assert flags[f.name].type is f.type, f.name
         assert flags["learning_rate"].option_strings == ["--lr"]
         assert flags["adam_beta1"].option_strings == ["--adam-beta1"]
+
+    def test_activation_is_declared_once(self):
+        # RunConfig's activation is Architecture's: same default and choices.
+        run = next(f for f in dataclasses.fields(cli.RunConfig) if f.name == "activation")
+        arch = next(f for f in dataclasses.fields(Architecture) if f.name == "activation")
+        assert (run.type, run.default, run.metadata) == (arch.type, arch.default, arch.metadata)
+        assert arch.metadata["choices"] == tuple(sorted(ACTIVATIONS))
 
     # Each subcommand's option strings, besides -h and --help, and the field
     # its --out sets.

@@ -20,7 +20,7 @@ import pytest
 from surgenet import cli, dataset, errors, training
 from surgenet.dataset import DatasetSplit, OracleParams, default_oracle, generate_track
 from surgenet.errors import ConfigError, SurgenetError
-from surgenet.network import Architecture
+from surgenet.network import Architecture, CheckpointMeta
 from surgenet.numerics import Rng
 from surgenet.training import TrainConfig
 
@@ -71,12 +71,20 @@ def test_builtin_bases_kept(name, base):
     assert issubclass(getattr(errors, name), base)
 
 
+def test_named_cuts_a_long_prefix_to_40_characters():
+    # A file's name can be 255 characters; the refusal stays one short line.
+    with pytest.raises(ConfigError) as err, errors.named("x" * 255):
+        raise ConfigError("bad")
+    assert str(err.value) == "x" * 40 + ": bad"
+
+
 # Each settings object with the arguments it needs besides the field under test.
 SETTINGS = {
     TrainConfig: {"arch": Architecture(6, (4,), 10), "epochs": 10},
     OracleParams: {"stations": default_oracle().stations},
     cli.RunConfig: {},
     Architecture: {"input_dim": 6, "hidden_sizes": (4,), "output_dim": 10},
+    CheckpointMeta: {"seed": 1, "epochs_trained": 1, "final_train_mse": 0.5},
 }
 
 
@@ -98,7 +106,12 @@ def test_a_refused_value_is_cut_to_40_characters(value, kind):
 
 
 # (class, field, bound keyword) of every bound a settings field declares.
-BOUNDS = [(cls, f, key) for cls in SETTINGS for f in dataclasses.fields(cls) for key in f.metadata]
+BOUND_KEYS = ("above", "at_least", "below", "at_most")
+BOUNDS = [(cls, f, key) for cls in SETTINGS for f in dataclasses.fields(cls)
+          for key in f.metadata if key in BOUND_KEYS]
+# (class, field) of every settings field that declares its choices.
+CHOICES = [(cls, f) for cls in SETTINGS for f in dataclasses.fields(cls)
+           if "choices" in f.metadata]
 INCLUSIVE = [(cls, f, key) for cls, f, key in BOUNDS if key in ("at_least", "at_most")]
 
 
@@ -118,7 +131,7 @@ def nearest_outside(f, key):
 def test_each_field_declares_at_most_one_bound_per_side():
     assert {f.name for _, f, _ in INCLUSIVE} >= {"lr_decay", "adam_beta1", "validation_every"}
     for _, f, _ in BOUNDS:
-        assert set(f.metadata) <= {"above", "at_least", "below", "at_most"}
+        assert set(f.metadata) <= set(BOUND_KEYS)
         assert not {"above", "at_least"} <= set(f.metadata)
         assert not {"below", "at_most"} <= set(f.metadata)
 
@@ -142,6 +155,28 @@ def test_a_400_digit_value_outside_a_bound_is_cut(cls, f, key):
     with pytest.raises(ConfigError, match=f"^{f.name} must be ") as err:
         cls(**{**SETTINGS[cls], f.name: value})
     assert str(err.value).endswith(f"got {repr(value)[:40]}")
+
+
+def test_choices_are_declared_on_split_and_activation():
+    assert {(cls.__name__, f.name) for cls, f in CHOICES} == {
+        ("Architecture", "activation"), ("RunConfig", "activation"), ("RunConfig", "split")}
+    for _, f in CHOICES:
+        assert set(f.metadata) == {"choices"} and f.default in f.metadata["choices"]
+
+
+@pytest.mark.parametrize("cls,f", CHOICES, ids=bound_id)
+@pytest.mark.parametrize("value", ["bogus", "x" * 400])
+def test_a_value_outside_the_choices_is_refused(cls, f, value):
+    with pytest.raises(ConfigError) as err:
+        cls(**{**SETTINGS[cls], f.name: value})
+    assert str(err.value) == (
+        f"{f.name} must be one of {f.metadata['choices']}, got {repr(value)[:40]}")
+
+
+@pytest.mark.parametrize("cls,f", CHOICES, ids=bound_id)
+def test_each_choice_is_accepted(cls, f):
+    for value in f.metadata["choices"]:
+        assert getattr(cls(**{**SETTINGS[cls], f.name: value}), f.name) == value
 
 
 @pytest.mark.parametrize("bounds,value,expected", [

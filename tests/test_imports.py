@@ -1,13 +1,15 @@
 """Rules checked on the package's source, so that no linter is needed:
-every name a module imports is used in that module, and every message cuts
-the values it echoes, a foreign exception's message included."""
+every name a module imports is used in that module, every name a module
+binds is used somewhere, and every message cuts the values it echoes, a
+foreign exception's message and a caller's argument included."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "surgenet").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "surgenet").glob("*.py"))
 
 
 def imported_names(tree):
@@ -92,3 +94,88 @@ except OSError as exc:
     raise E(f"d {exc!s:.80} {exc.reason}")
 """)
     assert list(uncut_foreign_errors(tree)) == ["E(f'a {exc}')", "E(f'b {exc}')"]
+
+
+def uncut_argument_echoes(tree):
+    """"function: source" of each value a raise's f-string formats with no
+    conversion and no format spec, where the value is one of that function's
+    parameters or an attribute of one: a caller's value can be any length."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+        for raise_ in ast.walk(func):
+            if not isinstance(raise_, ast.Raise) or raise_.exc is None:
+                continue
+            for node in ast.walk(raise_.exc):
+                if (isinstance(node, ast.FormattedValue) and node.conversion == -1
+                        and node.format_spec is None):
+                    root = node.value
+                    while isinstance(root, ast.Attribute):
+                        root = root.value
+                    if isinstance(root, ast.Name) and root.id in params:
+                        yield f"{func.name}: {ast.unparse(node.value)}"
+
+
+# The argument echoes left uncut, each with why it cannot be long.
+BOUNDED_ECHOES = {
+    "check_value: name": "a field name, or a name such as hidden_sizes[0], that the code chooses",
+    "check_value: choices": "the tuple a field's metadata declares",
+    "forward_batch: net.arch.input_dim": "Architecture holds it to at most 1024",
+    "_dataclass: key": "arch or meta, the checkpoint block the reader names",
+}
+
+
+def test_every_echoed_argument_is_cut_or_bounded():
+    found = {echo for path in SOURCES
+             for echo in uncut_argument_echoes(ast.parse(path.read_text()))}
+    assert found == set(BOUNDED_ECHOES)
+
+
+def test_the_argument_echo_rule_sees_an_uncut_value():
+    tree = ast.parse("""
+def f(a, b, *c, d, **e):
+    x = 1
+    raise E(f"{a} {b.shape} {c!r} {d:.40} {e!s:.40} {x} {len(a)}")
+""")
+    assert list(uncut_argument_echoes(tree)) == ["f: a", "f: b.shape"]
+
+
+def bound_names(tree):
+    """Each name a module binds at its top level, but not by an import."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def referenced_names(tree):
+    """Each name the module reads, as a name, an attribute, an imported name
+    or a string (a benchmark wraps functions it names by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_bound_name_is_used():
+    referenced = {name for folder in ("src", "tests", "benchmark")
+                  for path in (ROOT / folder).rglob("*.py")
+                  for name in referenced_names(ast.parse(path.read_text()))}
+    unused = [f"{path.name}: {name}" for path in SOURCES
+              for name in bound_names(ast.parse(path.read_text())) if name not in referenced]
+    assert unused == []
+
+
+def test_the_bound_name_rule_sees_an_unused_name():
+    tree = ast.parse("A = 1\nB: int = A\nC, D = 2, 3\ndef f(): return 'D'\nclass K: pass")
+    used = set(referenced_names(tree))
+    assert [name for name in bound_names(tree) if name not in used] == ["B", "C", "f", "K"]

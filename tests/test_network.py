@@ -51,7 +51,7 @@ class TestArchitecture:
             Architecture(6, (4, 4, 4), 10)
 
     def test_positive_dims_enforced(self):
-        with pytest.raises(ValueError, match="^input_dim must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^input_dim must be in \[1, 1024\], got 0$"):
             Architecture(0, (4,), 10)
         with pytest.raises(ValueError, match=r"^hidden_sizes\[0\] must be in \[1, 1024\], got 0$"):
             Architecture(6, (0,), 10)
@@ -64,6 +64,13 @@ class TestArchitecture:
             Architecture(6, (1025,), 10)
         with pytest.raises(ValueError, match=rf"^hidden_sizes\[1\] {bound}1000"):
             Architecture(6, (4, 10 ** 40), 10)
+
+    @pytest.mark.parametrize("dims", [(1025, 10), (6, 1025), (10 ** 30, 10), (6, 10 ** 30)])
+    def test_input_and_output_sizes_bounded_above(self, dims):
+        # Refused before init_network sizes an array; no large network is built.
+        name = "input_dim" if dims[0] > 6 else "output_dim"
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[1, 1024\], got 10"):
+            Architecture(dims[0], (4,), dims[1])
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="relu"):
@@ -286,7 +293,8 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["arch"]["hidden_sizes"] = [32.7]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointFormatError, match=r"arch\.hidden_sizes holds 32\.7"):
+        with pytest.raises(CheckpointFormatError,
+                           match=r": arch: hidden_sizes\[0\] must be an integer, got 32\.7$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -298,8 +306,26 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["meta"][key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointFormatError, match=f"meta.{key}"):
+        with pytest.raises(CheckpointFormatError, match=f": meta: {key} must be "):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("block,key", [("arch", "input_dim"), ("arch", "activation"),
+                                           ("meta", "seed")])
+    def test_missing_arch_or_meta_key_is_named(self, saved, block, key):
+        *_, path = saved
+        payload = json.loads(path.read_text())
+        del payload[block][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=rf"^ck\.json: {block}\.{key} is missing$"):
+            load_checkpoint(path)
+
+    def test_numpy_meta_values_are_written_as_plain_numbers(self, saved, tmp_path):
+        net, norm, _, path = saved
+        meta = CheckpointMeta(np.int64(21), np.int32(17), np.float64(0.1234))
+        assert (type(meta.seed), type(meta.epochs_trained), type(meta.final_train_mse)) == (
+            int, int, float)
+        save_checkpoint(net, norm, meta, tmp_path / "numpy.json")
+        assert (tmp_path / "numpy.json").read_bytes() == path.read_bytes()
 
     def test_non_finite_values_rejected(self, saved):
         *_, path = saved
