@@ -82,7 +82,7 @@ def _architecture(hidden, activation) -> Architecture:
 
 
 _ORACLE_KEYS = {f.name for f in dataclasses.fields(OracleParams)}
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_KEYS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _build_oracle(raw) -> OracleParams:
@@ -104,28 +104,30 @@ _ConfigLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
     list("-+0123456789."))
+# What yaml.load raises for text it cannot read: ValueError for a 5000-digit integer,
+# KeyError for !!bool x, AttributeError for !!timestamp x, RecursionError for deep nesting.
+_UNREADABLE = (yaml.YAMLError, ValueError, KeyError, AttributeError, RecursionError)
 
 
 def load_config_file(path) -> dict:
-    """Parse a YAML config file, rejecting unknown keys."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path!s:.40}: not UTF-8 text ({exc.reason})") from None
-    try:
-        raw = yaml.load(text, Loader=_ConfigLoader)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: a scalar YAML cannot convert, such as a 5000-digit integer;
-        # RecursionError: nesting deeper than the stack.
-        mark = getattr(exc, "problem_mark", None)
-        detail = (f"{exc.problem:.60} at line {mark.line + 1}, column {mark.column + 1}"
-                  if mark and getattr(exc, "problem", None) else str(exc).partition("\n")[0][:80])
-        raise ConfigError(f"unparsable config {path!s:.40}: {detail}") from None
+    """Parse a YAML config file, rejecting unknown keys. A refusal of the
+    file's text starts with the file's name."""
+    with named(Path(path).name):
+        try:
+            raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_ConfigLoader)
+        except UnicodeDecodeError as exc:  # a ValueError, so caught first
+            raise ConfigError(f"not UTF-8 text ({exc.reason})") from None
+        except _UNREADABLE as exc:
+            mark = getattr(exc, "problem_mark", None)
+            detail = (f"{exc.problem:.60} at line {mark.line + 1}, column {mark.column + 1}"
+                      if mark and getattr(exc, "problem", None)
+                      else str(exc).partition("\n")[0][:80])
+            raise ConfigError(f"unparsable config: {detail}") from None
+        if not isinstance(raw, dict | None):
+            raise ConfigError("config must be a mapping at top level")
     if raw is None:
         return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path!s:.40} must be a mapping at top level")
-    unknown = sorted(set(raw) - _CONFIG_KEYS, key=str)
+    unknown = sorted(set(raw) - _CONFIG_KEYS.keys(), key=str)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown!r:.40}")
     if "oracle" in raw:
@@ -133,23 +135,14 @@ def load_config_file(path) -> dict:
     return raw
 
 
-# Each subcommand's help and the RunConfig fields it takes as flags, besides
-# --config and --seed: --out sets the first, and the rest are spelled "--"
-# plus the name with "-" for "_", or as _FLAG_NAMES says.
-_SUBCOMMANDS = {
-    "generate": ("write a synthetic storm corpus", ("corpus_dir", "n_tracks")),
-    "train": ("train a network on a corpus",
-              ("checkpoint", "corpus_dir", "hidden", "activation",
-               *(f.name for f in _TRAINING_FIELDS if f.name != "seed"))),
-    "evaluate": ("score a checkpoint and write reports",
-                 ("report_dir", "corpus_dir", "checkpoint", "split", "window_days")),
-    "predict": ("predict surge for one track CSV", ("prediction", "checkpoint", "track")),
-}
-_FLAG_NAMES = {"corpus_dir": "--corpus", "learning_rate": "--lr", "window_days": "--window"}
-# What a flag sets, where its name does not say enough.
-_FLAG_HELP = {"hidden": 'hidden sizes, e.g. "32,64" or "60"',
-              "window_days": "landfall half-width in days",
-              "track": "input CSV with the six input columns"}
+def _flag_number(text: str):
+    """A number flag's text, read as the config file reads a value; the text
+    itself where YAML cannot read it or reads null, for RunConfig to refuse."""
+    try:
+        value = yaml.load(text, Loader=_ConfigLoader)
+    except _UNREADABLE:
+        return text
+    return text if value is None else value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -158,7 +151,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # A flag overrides the RunConfig field its destination names.
     for dest, value in vars(args).items():
         if dest in _CONFIG_KEYS and value is not None:
-            settings[dest] = value
+            number = _CONFIG_KEYS[dest].type in (int, float)
+            settings[dest] = _flag_number(value) if number else value
     return RunConfig(**settings)
 
 
@@ -226,39 +220,55 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
+# Each subcommand's function, help and the RunConfig fields it takes as flags,
+# besides --config and --seed: --out sets the first, and the rest are spelled
+# "--" plus the name with "-" for "_", or as _FLAG_NAMES says.
+_SUBCOMMANDS = {
+    "generate": (cmd_generate, "write a synthetic storm corpus", ("corpus_dir", "n_tracks")),
+    "train": (cmd_train, "train a network on a corpus",
+              ("checkpoint", "corpus_dir", "hidden", "activation",
+               *(f.name for f in _TRAINING_FIELDS if f.name != "seed"))),
+    "evaluate": (cmd_evaluate, "score a checkpoint and write reports",
+                 ("report_dir", "corpus_dir", "checkpoint", "split", "window_days")),
+    "predict": (cmd_predict, "predict surge for one track CSV",
+                ("prediction", "checkpoint", "track")),
+}
+_FLAG_NAMES = {"corpus_dir": "--corpus", "learning_rate": "--lr", "window_days": "--window"}
+# What a flag sets, where its name does not say enough.
+_FLAG_HELP = {"hidden": 'hidden sizes, e.g. "32,64" or "60"',
+              "window_days": "landfall half-width in days",
+              "track": "input CSV with the six input columns"}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; main looks up each
-    command's function when it runs, so the parser holds none. Each flag is
-    a RunConfig field, with that field's name, number type and default."""
+    """The command-line parser, built once per process. Each flag is a
+    RunConfig field, with that field's name and default; its text is left to
+    build_config, which reads a number as the config file does."""
     parser = argparse.ArgumentParser(
         prog="surgenet",
         description="Storm-surge surrogate: generate data, train, evaluate, predict.")
     sub = parser.add_subparsers(dest="command", required=True)
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    for command, (summary, (out, *names)) in _SUBCOMMANDS.items():
+    for command, (_, summary, (out, *names)) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="YAML config file; flags override it")
         p.add_argument("--out", dest=out,
-                       help=f"primary output path (default {fields[out].default})")
-        for name in ("seed", *names):
-            f = fields[name]
-            p.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
-                           type=f.type if f.type in (int, float) else None,
-                           help=f"{_FLAG_HELP.get(name, '')} (default {f.default})".lstrip())
+                       help=f"primary output path (default {_CONFIG_KEYS[out].default})")
+        for f in (_CONFIG_KEYS[name] for name in ("seed", *names)):
+            p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                           help=f"{_FLAG_HELP.get(f.name, '')} (default {f.default})".lstrip())
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {"generate": cmd_generate, "train": cmd_train, "evaluate": cmd_evaluate,
-               "predict": cmd_predict}[args.command]
+    command = _SUBCOMMANDS[args.command][0]
     try:
         return command(build_config(args))
     except (SurgenetError, OSError) as exc:
         message = str(exc)
-        if isinstance(exc, OSError) and exc.filename is not None:  # cut each path it names
-            paths = (f"{p!r:.40}" for p in (exc.filename, exc.filename2) if p is not None)
+        if isinstance(exc, OSError) and exc.filename is not None:  # the end of each path it names
+            paths = (repr(str(p)[-40:]) for p in (exc.filename, exc.filename2) if p is not None)
             message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import functools
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,23 +113,25 @@ class StormTrack:
         return self.inputs[:, 0]
 
 
+def _check_block(block: np.ndarray, names) -> None:
+    """Check that block has one column per name, then that every cell is
+    finite; the first non-finite cell is named by its row and column."""
+    if block.ndim != 2 or block.shape[1] != len(names):
+        raise ColumnSchemaError(f"expected {len(names)} columns, got shape {block.shape!s:.40}")
+    finite = np.isfinite(block)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise NonFiniteValueError("non-finite value", row=int(r), column=names[c])
+
+
 def validate_track(track: StormTrack) -> None:
-    """Check shape, the tau grid, finiteness, and physical field ranges."""
-    if track.inputs.ndim != 2 or track.inputs.shape[1] != len(INPUT_COLUMNS):
-        raise ColumnSchemaError(
-            f"inputs must have {len(INPUT_COLUMNS)} columns, got shape {track.inputs.shape!s:.40}")
-    if track.surge.ndim != 2 or track.surge.shape[1] != N_STATIONS:
-        raise ColumnSchemaError(
-            f"surge must have {N_STATIONS} columns, got shape {track.surge.shape!s:.40}")
+    """Check the row count, each block's columns and finiteness, the tau
+    grid, and physical field ranges."""
     if track.inputs.shape[0] != N_ROWS or track.surge.shape[0] != N_ROWS:
         raise RowCountError(
             f"track {track.track_id!r:.40} has {track.inputs.shape[0]} rows, expected {N_ROWS}")
-
-    for block, names in ((track.inputs, INPUT_COLUMNS), (track.surge, SURGE_COLUMNS)):
-        finite = np.isfinite(block)
-        if not finite.all():
-            r, c = np.argwhere(~finite)[0]
-            raise NonFiniteValueError("non-finite value", row=int(r), column=names[c])
+    _check_block(track.inputs, INPUT_COLUMNS)
+    _check_block(track.surge, SURGE_COLUMNS)
 
     expected_tau = tau_grid()
     off = np.abs(track.tau - expected_tau) > 1e-9
@@ -214,15 +216,18 @@ def _records(lines, header=False):
 
 
 def _read_csv(path: Path) -> tuple:
-    """The header fields of a UTF-8 CSV file (None if it is empty) and its
-    remaining lines, split where csv.reader splits them: at CR LF, CR or LF.
-    Other bytes raise TrackValidationError."""
+    """The header fields of a UTF-8 CSV file and its remaining lines, split
+    where csv.reader splits them: at CR LF, CR or LF. Other bytes raise
+    TrackValidationError, and a file with no header line ColumnSchemaError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             buf = io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
         raise TrackValidationError(f"not UTF-8 text ({exc.reason})") from None
-    return next(_records(buf, header=True), None), buf.readlines()
+    header = next(_records(buf, header=True), None)
+    if header is None:
+        raise ColumnSchemaError("empty file")
+    return header, buf.readlines()
 
 
 def _float_rows(lines, header, names) -> np.ndarray:
@@ -282,8 +287,6 @@ def load_track_csv(path) -> StormTrack:
     path = Path(path)
     with named(path.name):
         header, lines = _read_csv(path)
-        if header is None:
-            raise ColumnSchemaError("empty file")
         if tuple(header) != CSV_COLUMNS:
             raise ColumnSchemaError(
                 f"header {tuple(header)!r:.40} does not match the track schema")
@@ -400,7 +403,7 @@ def surge_oracle(inputs, oracle: OracleParams) -> np.ndarray:
     x = np.atleast_2d(x)
     if x.shape[1] != len(INPUT_COLUMNS):
         raise ColumnSchemaError(
-            f"oracle inputs must have {len(INPUT_COLUMNS)} columns, got shape {x.shape}")
+            f"oracle inputs must have {len(INPUT_COLUMNS)} columns, got shape {x.shape!s:.40}")
     tau, lon, lat, rmax, vmax, fspeed = x.T
 
     st_lons, st_lats, normals = _station_geometry(oracle)
@@ -472,13 +475,7 @@ def interpolate_to_grid(raw_inputs) -> np.ndarray:
     order) and column.
     """
     x = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
-    if x.shape[1] != len(INPUT_COLUMNS):
-        raise ColumnSchemaError(
-            f"expected {len(INPUT_COLUMNS)} input columns, got shape {x.shape}")
-    finite = np.isfinite(x)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise NonFiniteValueError("non-finite value", row=int(r), column=INPUT_COLUMNS[c])
+    _check_block(x, INPUT_COLUMNS)
     order = np.argsort(x[:, 0], kind="stable")
     repeats = order[1:][np.diff(x[order, 0]) == 0]  # rows whose tau an earlier row has
     if repeats.size:
@@ -500,8 +497,6 @@ def read_input_series(path) -> np.ndarray:
     path = Path(path)
     with named(path.name):
         header, lines = _read_csv(path)
-        if header is None:
-            raise ColumnSchemaError("empty file")
         missing = [c for c in INPUT_COLUMNS if c not in header]
         if missing:
             raise ColumnSchemaError(f"missing input columns {missing}")
@@ -513,7 +508,7 @@ def read_input_series(path) -> np.ndarray:
 
 
 MANIFEST_NAME = "manifest.csv"
-SPLIT_LABELS = ("train", "val", "test")
+SPLIT_LABELS = ("train", "val", "test")  # one per DatasetSplit field, in their order
 
 
 def write_manifest(entries, path) -> None:
@@ -583,10 +578,8 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
         for i in range(n_tracks)
     ]
     split = split_dataset(tracks, seed=seed)
-    label_by_id = {}
-    for label, part in zip(SPLIT_LABELS, (split.training, split.validation, split.testing)):
-        for tr in part:
-            label_by_id[tr.track_id] = label
+    parts = (getattr(split, f.name) for f in fields(split))
+    label_by_id = {tr.track_id: label for label, part in zip(SPLIT_LABELS, parts) for tr in part}
     entries = []
     for tr in tracks:
         name = f"{tr.track_id}.csv"
@@ -609,13 +602,9 @@ def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir!s:.40}")
+        raise FileNotFoundError(f"no {MANIFEST_NAME} in {str(corpus_dir)[-40:]}")
     buckets = {label: [] for label in SPLIT_LABELS}
     for _, file, split in read_manifest(manifest):
         if split in labels:
             buckets[split].append(load_track_csv(corpus_dir / file))
-    return DatasetSplit(
-        training=tuple(buckets["train"]),
-        validation=tuple(buckets["val"]),
-        testing=tuple(buckets["test"]),
-    )
+    return DatasetSplit(*map(tuple, buckets.values()))

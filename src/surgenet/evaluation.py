@@ -57,7 +57,7 @@ def _stacked(preds, obs) -> tuple:
     if p.shape != o.shape or p.ndim != 2 or p.shape[1] != N_STATIONS:
         raise DimensionMismatchError(
             f"predictions and observations must both be (n, {N_STATIONS}), "
-            f"got {p.shape} and {o.shape}")
+            f"got {p.shape!s:.18} and {o.shape!s:.18}")  # two echoed values, 18 characters each
     if p.shape[0] == 0:
         raise DimensionMismatchError("no rows to score")
     return p, o

@@ -98,7 +98,7 @@ def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise DimensionMismatchError(
-            f"expected inputs shaped (n, {net.arch.input_dim}), got {x.shape}")
+            f"expected inputs shaped (n, {net.arch.input_dim}), got {x.shape!s:.40}")
     if out is None:
         out = [np.empty((x.shape[0], w.shape[0])) for w, _ in net.layers]
     act = ACTIVATIONS[net.arch.activation]
@@ -137,7 +137,7 @@ def fit_normalizer(inputs) -> Normalizer:
         raise DimensionMismatchError(f"rows have differing lengths: {exc!s:.80}") from None
     if data.ndim != 2 or len(data) == 0:
         raise DimensionMismatchError(
-            f"expected at least one row of scalars, got shape {data.shape}")
+            f"expected at least one row of scalars, got shape {data.shape!s:.40}")
     stds = data.std(axis=0)
     constant = stds < 1e-12
     return Normalizer(data.mean(axis=0), np.where(constant, 1.0, stds), constant)

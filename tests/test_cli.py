@@ -572,7 +572,7 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "generate", "--config", str(cfg),
                               "--out", str(tmp_path / "c"))
         assert (code, stderr.count("\n")) == (1, 1)
-        assert stderr.startswith(f"error: unparsable config {str(cfg):.40}: ")
+        assert stderr.startswith("error: cfg.yaml: unparsable config: ")
 
     def test_non_utf8_config_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -580,7 +580,16 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "generate", "--config", str(cfg),
                               "--out", str(tmp_path / "c"))
         assert code == 1
-        assert stderr.startswith(f"error: config {str(cfg):.40}: not UTF-8")
+        assert stderr.startswith("error: bad.yaml: not UTF-8 text (")
+
+    @pytest.mark.parametrize("text", ["!!bool x", "!!timestamp x"])
+    def test_badly_tagged_scalar_is_unparsable(self, tmp_path, text):
+        # PyYAML raises KeyError and AttributeError for these, not YAMLError.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"seed: {text}\n")
+        code, stderr = run_quietly(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 1 and stderr.count("\n") == 1
+        assert stderr.startswith("error: cfg.yaml: unparsable config: ")
 
     @pytest.mark.parametrize("line,key", [
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
@@ -625,6 +634,8 @@ class TestConfigFile:
          "activation must be one of ('sigmoid', 'tanh'), got 'relu'"),
         ("evaluate", "split", "bogus",
          "split must be one of ('train', 'val', 'test', 'all'), got 'bogus'"),
+        ("train", "epochs", "2.5", "epochs must be an integer, got 2.5"),
+        ("evaluate", "seed", "x", "seed must be an integer, got 'x'"),
     ])
     def test_bad_flag_value_is_refused_as_in_a_config(self, tmp_path, workspace, command, key,
                                                       value, message):
@@ -637,6 +648,25 @@ class TestConfigFile:
         assert flag == (1, f"error: {message}\n")
         assert run_quietly([command, "--config", str(cfg), *inputs]) == flag
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "null", "~", "!!bool x", "!!timestamp x", "[1"])
+    def test_number_flag_yaml_cannot_read_or_reads_as_null_is_refused(self, tmp_path, text):
+        # Its text is kept, so it is refused, not dropped for the config's value.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("epochs: 5\n")
+        argv = ["train", "--config", str(cfg), f"--epochs={text}", "--corpus", str(tmp_path)]
+        assert run_quietly(argv) == (1, f"error: epochs must be an integer, got {text!r}\n")
+
+    @pytest.mark.parametrize("flag,key,text,value", [
+        ("--epochs", "epochs", "300", 300), ("--lr", "learning_rate", "1e-3", 0.001),
+        ("--lr", "learning_rate", "1", 1), ("--seed", "seed", "-7", -7)])
+    def test_number_flag_is_read_as_a_config_value(self, tmp_path, flag, key, text, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: {text}\n")
+        by_flag = cli.build_config(cli.build_parser().parse_args(["train", f"{flag}={text}"]))
+        by_file = cli.build_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+        got = getattr(by_flag, key)
+        assert by_flag == by_file and (got, type(got)) == (value, type(value))
 
     def test_long_value_is_cut_in_the_message(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -666,6 +696,7 @@ class TestConfigFile:
         code, stderr = run_quietly([command, flag, path, *track, "--out", str(tmp_path / "out")])
         assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
         assert len(stderr) <= 121  # the line and its newline
+        assert path[-25:] in stderr  # the end of the path, where its file name is
         assert not (tmp_path / "out").exists()
 
     def test_default_oracle_is_built_once(self):
@@ -715,7 +746,8 @@ class TestConfigFile:
 
     def test_each_training_setting_is_declared_once(self):
         # RunConfig's training fields and the train flags are TrainConfig's
-        # fields: same type, default and range, and one flag each.
+        # fields: same type, default and range, and one flag each. A flag has
+        # no argparse type: build_config reads a number as a config value.
         run_fields = {f.name: f for f in dataclasses.fields(cli.RunConfig)}
         subcommands = next(a for a in cli.build_parser()._actions
                            if isinstance(a, argparse._SubParsersAction))
@@ -728,7 +760,7 @@ class TestConfigFile:
             assert (run.type, run.metadata) == (f.type, f.metadata), f.name
             assert run.default == (15000 if f.name == "epochs" else f.default), f.name
             if f.name != "seed":
-                assert flags[f.name].type is f.type, f.name
+                assert flags[f.name].type is None, f.name
         assert flags["learning_rate"].option_strings == ["--lr"]
         assert flags["adam_beta1"].option_strings == ["--adam-beta1"]
 
@@ -753,9 +785,9 @@ class TestConfigFile:
     }
 
     def test_every_flag_is_declared_from_its_field(self):
-        # A flag's destination, number type and shown default are its RunConfig
-        # field's; its values are checked by RunConfig alone, so argparse gets
-        # no choices and no default.
+        # A flag's destination and shown default are its RunConfig field's; its
+        # values are read by build_config and checked by RunConfig alone, so
+        # argparse gets no type, no choices and no default.
         fields = {f.name: f for f in dataclasses.fields(cli.RunConfig)}
         subcommands = next(a for a in cli.build_parser()._actions
                            if isinstance(a, argparse._SubParsersAction))
@@ -768,7 +800,7 @@ class TestConfigFile:
             assert flags["--out"].dest == out, command
             for flag, action in flags.items():
                 f = fields[action.dest]
-                assert action.type is (f.type if f.type in (int, float) else None), flag
+                assert action.type is None, flag
                 assert (action.default, action.choices) == (None, None), flag
                 assert action.help.endswith(f"(default {f.default})"), flag
 

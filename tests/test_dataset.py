@@ -140,6 +140,19 @@ class TestValidateTrack:
             with pytest.raises(FieldRangeError, match=exc_match):
                 validate_track(StormTrack("bad", inputs, tr.surge))
 
+    def test_of_two_faults_the_first_checked_is_named(self):
+        # Row count, then each block's columns and finiteness, inputs first.
+        tr = make_track()
+        nan_inputs = tr.inputs.copy()
+        nan_inputs[3, 1] = np.nan
+        for inputs, surge, error in (
+                (nan_inputs[:192], tr.surge[:192], RowCountError),
+                (tr.inputs[:192, :5], tr.surge[:192], RowCountError),
+                (nan_inputs, tr.surge[:, :9], NonFiniteValueError),
+                (tr.inputs[:, :5], np.full_like(tr.surge, np.nan), ColumnSchemaError)):
+            with pytest.raises(error):
+                validate_track(StormTrack("bad", inputs, surge))
+
 
 class TestTrackCsv:
     def test_round_trip_bitwise(self, tmp_path):
@@ -495,6 +508,11 @@ class TestInterpolateToGrid:
         with pytest.raises(NonFiniteValueError):
             interpolate_to_grid(raw)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 6, 1), (0,)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ColumnSchemaError, match=r"^expected 6 columns, got shape \("):
+            interpolate_to_grid(np.zeros(shape))
+
 
 class TestReadInputSeries:
     def test_reads_bare_input_columns(self, tmp_path):
@@ -574,6 +592,12 @@ class TestManifest:
                         "track_0001,track_0001.csv,train\n"
                         "track_0002,test\n")
         with pytest.raises(ColumnSchemaError, match=r"manifest\.csv.*3 fields.*row 1"):
+            read_manifest(path)
+
+    def test_empty_file_named(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("")
+        with pytest.raises(ColumnSchemaError, match=r"^manifest\.csv: empty file$"):
             read_manifest(path)
 
     def test_non_utf8_file_named(self, tmp_path):

@@ -1,7 +1,8 @@
 """Rules checked on the package's source, so that no linter is needed:
 every name a module imports is used in that module, every name a module
 binds is used somewhere, and every message cuts the values it echoes, a
-foreign exception's message and a caller's argument included."""
+foreign exception's message, a caller's argument and an array's shape
+included."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,34 @@ def f(a, b, *c, d, **e):
     raise E(f"{a} {b.shape} {c!r} {d:.40} {e!s:.40} {x} {len(a)}")
 """)
     assert list(uncut_argument_echoes(tree)) == ["f: a", "f: b.shape"]
+
+
+def uncut_shapes(tree):
+    """The source of each .shape a raise's f-string formats with no format
+    spec: an array from a caller can have any number of dimensions."""
+    for raise_ in ast.walk(tree):
+        if isinstance(raise_, ast.Raise) and raise_.exc is not None:
+            for node in ast.walk(raise_.exc):
+                if (isinstance(node, ast.FormattedValue) and node.format_spec is None
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "shape"):
+                    yield ast.unparse(node.value)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_echoed_shape_is_cut(path):
+    # forward_batch(net, np.zeros((1,) * 64)) once echoed a 64-entry shape.
+    assert list(uncut_shapes(ast.parse(path.read_text()))) == []
+
+
+def test_the_shape_rule_sees_an_uncut_shape():
+    tree = ast.parse("""
+def f(a):
+    x = a
+    message = f"{x.shape}"
+    raise E(f"{x.shape} {a.b.shape!r} {x.shape!s:.40} {x.shape[0]} {len(x.shape)}")
+""")
+    assert list(uncut_shapes(tree)) == ["x.shape", "a.b.shape"]
 
 
 def bound_names(tree):

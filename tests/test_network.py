@@ -442,3 +442,9 @@ class TestCheckpointFuzz:
         np.testing.assert_array_equal(loaded.normalizer.constant_flags, norm.constant_flags)
         assert loaded.meta.final_train_mse.hex() == meta.final_train_mse.hex()
         assert (loaded.meta.seed, loaded.meta.epochs_trained) == (meta.seed, meta.epochs_trained)
+
+
+def test_many_dimensions_give_a_short_message():
+    with pytest.raises(DimensionMismatchError) as err:
+        forward_batch(small_net(), np.zeros((1,) * 64))
+    assert len(str(err.value)) <= 120

@@ -1,12 +1,13 @@
 """Each loader refuses a long or garbage field with one short line.
 
 The refusal is a SurgenetError whose message is one line of at most LINE
-characters plus the length of the name it gives the file (the config path,
-for a config). A data reader starts its message with "<file name>: " and
-names the file nowhere else: errors.named adds the name, once, at the
-reader's boundary.
+characters plus the length of the name it gives the file. A data reader
+starts its message with "<file name>: " and names the file nowhere else:
+errors.named adds the name, once, at the reader's boundary. A number flag's
+text is refused the same way, in one line.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -181,7 +182,7 @@ class TestLoaders:
         def load(path):
             return cli.RunConfig(**cli.load_config_file(path))
 
-        refusal(load, path, str(path))
+        refusal(load, path, path.name)
 
 
 def long_field_case(kind, tmp_path):
@@ -221,3 +222,22 @@ def test_cli_refuses_a_long_field_in_one_line(kind, tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
     assert not out.exists()
+
+
+@SETTINGS
+@given(flag=st.sampled_from(["--epochs", "--lr", "--window"]),
+       text=st.one_of(st.text(), FIELDS))
+def test_any_number_flag_text_gives_one_short_line(tmp_path_factory, flag, text):
+    # The text goes after "=", so one that starts with "-" is not read as an
+    # option. Whatever it holds, the run ends at RunConfig's check or at the
+    # missing corpus or checkpoint: no usage block and no traceback.
+    missing = tmp_path_factory.mktemp("flag") / "none"
+    argv = (["evaluate", "--checkpoint", str(missing / "m.json")] if flag == "--window"
+            else ["train"])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, f"{flag}={text}", "--corpus", str(missing)])
+    assert (code, stdout.getvalue()) == (1, "")
+    message = stderr.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1, message
+    assert len(message) <= LINE + 1, message  # the line and its newline
