@@ -104,7 +104,12 @@ def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
     act = ACTIVATIONS[net.arch.activation]
     h = x
     for i, ((w, b), z) in enumerate(zip(net.layers, out)):
-        np.matmul(h, w.T, out=z)
+        # OpenBLAS multiplies by a C-contiguous copy of w.T faster than by
+        # the strided w.T view, copy included: at 476 rows on one BLAS thread
+        # of a 2-vCPU Xeon VM, 4.9, 27.8 and 23.1 us against 8.9, 37.2 and
+        # 30.2 us for the default 6 -> 32, 32 -> 64 and 64 -> 10 layers. The
+        # two take different kernels, so their bits can differ.
+        np.matmul(h, np.ascontiguousarray(w.T), out=z)
         z += b
         if i < len(net.layers) - 1:
             act(z, out=z)

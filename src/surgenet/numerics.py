@@ -24,7 +24,13 @@ def tanh_act(v, out=None) -> np.ndarray:
     inside (-1, 1).
     """
     out = np.tanh(np.asarray(v, dtype=np.float64), out=out)
-    return np.clip(out, -_ONE_BELOW, _ONE_BELOW, out=out)
+    # Clipping rewrites every entry; finding none saturated only reads them.
+    # A NaN fails both comparisons and np.clip keeps it, so skipping the clip
+    # when nothing reaches +-1 changes no bit. initial= lets an empty block
+    # through, as np.clip does.
+    if out.max(initial=0.0) >= 1.0 or out.min(initial=0.0) <= -1.0:
+        np.clip(out, -_ONE_BELOW, _ONE_BELOW, out=out)
+    return out
 
 
 def sigmoid_act(v, out=None) -> np.ndarray:

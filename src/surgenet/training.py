@@ -30,13 +30,17 @@ from .numerics import Rng
 
 DEFAULT_SEED = 20170324
 
-# The most rows one shard of a training step holds. A shard's layer outputs
-# and deltas then stay near the size of a core's L2 cache (2 MB on the VM
-# below); a whole default batch's take about 10 MB. The default 6176-row
-# batch runs as 4 shards of 1544 rows. On one thread of a 2-vCPU
-# Xeon VM, the median of 5 interleaved 200-epoch runs was 10.4 ms/epoch for
-# 1 shard, 9.0-9.3 ms for 2, 4, 6 or 8 shards and 9.9 ms for 12.
-TILE_ROWS = 2048
+# The most rows one shard of a training step holds. Each thread runs its
+# shards through one scratch set sized to the largest shard, and at 512 rows
+# that set (every layer's output and delta) is about 0.8 MB, so it stays in a
+# core's L2 cache (2 MB on the VM below) from shard to shard. The default
+# 6176-row batch runs as 13 shards of 475 or 476 rows. One-worker train() of
+# the default net and batch on the seed-7 corpus, 200 epochs, medians of 9
+# interleaved runs on one pinned CPU of a 2-vCPU Xeon VM with one BLAS thread:
+#
+#   TILE_ROWS  128   256   384   512   768   1024  1544  2048
+#   ms/epoch   6.61  5.52  5.15  4.97  5.60  5.45  5.52  5.51
+TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class AdamState:
 
 
 class _StepBuffers:
-    """One shard's scratch arrays for training steps of up to `rows` batch
+    """One thread's scratch arrays for training steps of up to `rows` batch
     rows: each layer's output (the output layer's then holds diff and then
     delta), the squared errors, each hidden layer's delta, and the ones that
     sum a delta's rows into a bias gradient."""
@@ -216,17 +220,21 @@ def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
 
 class _StepExecutor:
     """What every training step over a batch of n_rows rows reuses: the
-    shard bounds, which depend on n_rows alone, one _StepBuffers per shard,
-    sized to it, and, when more than one worker gets a shard, the thread
-    pool of min(workers, shards) threads that runs them.
+    shard bounds, which depend on n_rows alone, one _StepBuffers per thread
+    that runs shards, each sized to the largest shard, and, when more than
+    one worker gets a shard, the thread pool of min(workers, shards) threads
+    that runs them.
 
+    Thread g of T runs shards g, g + T, g + 2T, ... through buffers[g], so
+    each scratch set stays warm in its core's cache from shard to shard.
     Nothing here outlives the train() call that owns it.
     """
 
     def __init__(self, arch: Architecture, n_rows: int, workers: int):
         self.bounds = _tile_bounds(n_rows, TILE_ROWS)
-        self.buffers = [_StepBuffers(arch, hi - lo) for lo, hi in self.bounds]
         threads = min(workers, len(self.bounds))
+        rows = max(hi - lo for lo, hi in self.bounds)
+        self.buffers = [_StepBuffers(arch, rows) for _ in range(threads)]
         self.pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def shutdown(self) -> None:
@@ -238,20 +246,27 @@ def _parallel_loss_grads(net, x, t, workers, executor) -> tuple:
     """Mean loss and gradient of a batch, computed shard by shard.
 
     executor is the _StepExecutor of a train() call, made for x's row count
-    and workers. Without a pool (one worker or one shard) the shards run in
-    order on the calling thread; with one they run on its threads. workers
+    and workers. Without a pool (one worker or one shard) every shard runs
+    in order on the calling thread through buffers[0]; with one, thread g
+    runs its shards g, g + T, ... in order through buffers[g]. workers
     itself is not read here, but the benchmark's tracer tags each call's
     span from it (benchmark/spans.py::_shard_count), so it keeps its place
     in the signature.
     """
-    # Shards only read net; results are reduced in shard order regardless of
-    # completion order, so neither scheduling nor the thread count can change
+    # Shards only read net, and a shard's results never alias its buffers;
+    # results are reduced in shard order regardless of which thread ran a
+    # shard or when, so neither scheduling nor the thread count can change
     # the outcome.
-    jobs = [(x[lo:hi], t[lo:hi], buffers)
-            for (lo, hi), buffers in zip(executor.bounds, executor.buffers)]
+    bounds, threads = executor.bounds, len(executor.buffers)
+
+    def run(g):
+        return [_batch_backprop(net, x[lo:hi], t[lo:hi], executor.buffers[g])
+                for lo, hi in bounds[g::threads]]
+
     mapper = map if executor.pool is None else executor.pool.map
-    results = list(mapper(lambda job: _batch_backprop(net, *job), jobs))
-    return _weighted_mean_grads(results, executor.bounds, x.shape[0])
+    per_thread = list(mapper(run, range(threads)))
+    results = [per_thread[i % threads][i // threads] for i in range(len(bounds))]
+    return _weighted_mean_grads(results, bounds, x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -270,6 +285,7 @@ def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray,
 
     The rows run forward in tiles as large as buffers holds, each into
     buffers, and the tiles' sums of squares are added in tile order.
+    train() passes the first thread's scratch set, executor.buffers[0].
     """
     total = 0.0
     for lo, hi in _tile_bounds(len(x), len(buffers.squares)):

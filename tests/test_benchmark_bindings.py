@@ -44,7 +44,7 @@ def test_traced_train_and_evaluate_record_every_layer(tmp_path):
               for i in range(16)]
     split = DatasetSplit(training=tuple(tracks[:12]), validation=tuple(tracks[12:14]),
                          testing=tuple(tracks[14:]))
-    # 12 tracks of 193 rows exceed one 2048-row shard, so both workers run.
+    # 12 tracks of 193 rows exceed one 512-row shard, so both workers run.
     cfg = TrainConfig(Architecture(6, (8,), 10), epochs=2, batch_tracks=12, workers=2,
                       validation_every=1)
     tracer = spans.Tracer()

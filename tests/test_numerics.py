@@ -7,6 +7,8 @@ from surgenet.errors import DimensionMismatchError
 from surgenet.network import fit_normalizer
 from surgenet.numerics import Rng, sigmoid_act, tanh_act
 
+ONE_BELOW = np.nextafter(1.0, 0.0)
+
 
 class TestActivations:
     def test_tanh_zero(self):
@@ -35,6 +37,27 @@ class TestActivations:
         assert act(v, out=other) is other
         np.testing.assert_array_equal(other, expected)
         assert np.all(expected > -1.0) and np.all(expected < 1.0)
+
+    @pytest.mark.parametrize("fill", ["none", "high", "low", "nan", "all_nan", "empty"])
+    def test_tanh_bits_match_clipping_every_entry(self, fill):
+        # tanh_act clips only blocks that reach +-1; the bits must be those of
+        # clipping every block, NaN, -0.0 and infinities included.
+        v = Rng(3).normal(size=(476, 64))
+        v[0, 0] = -0.0
+        if fill == "high":
+            v[5, 7:9] = [40.0, np.inf]
+        elif fill == "low":
+            v[5, 7:9] = [-40.0, -np.inf]
+        elif fill == "nan":
+            v[9, 9] = np.nan
+        elif fill == "all_nan":
+            v[:] = np.nan
+        elif fill == "empty":
+            v = v[:0]
+        expected = np.clip(np.tanh(v), -ONE_BELOW, ONE_BELOW)
+        assert tanh_act(v).tobytes() == expected.tobytes()
+        buf = v.copy()
+        assert tanh_act(buf, out=buf).tobytes() == expected.tobytes()
 
     def test_sigmoid_zero_is_half(self):
         assert sigmoid_act(np.array([0.0])).tolist() == [0.5]

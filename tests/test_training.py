@@ -273,7 +273,7 @@ class TestSharding:
 
 class TestParallelGradient:
     def test_matches_single_worker(self):
-        # 13 tracks' rows make 2 shards, so more than one worker uses a pool.
+        # 13 tracks' rows make 5 shards, so more than one worker uses a pool.
         net = init_network(Architecture(6, (8, 8), 10), Rng(20))
         x = Rng(21).normal(size=(13 * 193, 6))
         t = Rng(22).normal(size=(13 * 193, 10))
@@ -287,7 +287,7 @@ class TestParallelGradient:
     # an np.errstate here does not reach.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_pool_thread_outlives_train(self):
-        # 12 tracks are 2316 rows: 2 shards, run on a pool of 2 threads.
+        # 12 tracks are 2316 rows: 5 shards, run on a pool of 2 threads.
         cfg = TrainConfig(arch=Architecture(6, (8,), 10), epochs=3, batch_tracks=12,
                           workers=2, validation_every=0, seed=5)
         split = make_split(12)
@@ -299,7 +299,7 @@ class TestParallelGradient:
         assert threading.active_count() == threads
 
     # Prints the weight hash of a 30-epoch run on 16 tracks, whose batch of 12
-    # tracks (2316 rows) is 2 shards, for 1 and then 2 workers.
+    # tracks (2316 rows) is 5 shards, for 1 and then 2 workers.
     CORE_SCRIPT = """
 import hashlib
 from surgenet.dataset import DatasetSplit, default_oracle, generate_track
@@ -484,11 +484,13 @@ def _reference_forward(net, x):
     act = {"tanh": _reference_tanh, "sigmoid": _reference_sigmoid}[net.arch.activation]
     hidden = []
     h = x
+    # w.T is multiplied as a C-contiguous copy, as in forward_batch: the
+    # operand's layout picks the BLAS kernel, and so the rounding.
     for w, b in net.layers[:-1]:
-        h = act(h @ w.T + b)
+        h = act(h @ np.ascontiguousarray(w.T) + b)
         hidden.append(h)
     w, b = net.layers[-1]
-    return h @ w.T + b, hidden
+    return h @ np.ascontiguousarray(w.T) + b, hidden
 
 
 def _reference_step(net, x, t):
@@ -550,7 +552,7 @@ class TestBufferedStep:
         arch = Architecture(6, hidden, 10, activation)
         net = init_network(arch, Rng(30))
         x, t = random_batch(arch, 3, 31, scale)
-        x, t = x[:-1], t[:-1]  # an odd row count, so shards differ in size
+        x, t = x[:-2], t[:-2]  # 577 rows: shards of 289 and 288 rows
         ref_loss, ref_grads = _reference_step(net, x, t)
         if scale > 1.0 and activation == "tanh":
             assert np.any(np.abs(_reference_forward(net, x)[1][0]) == _ONE_BELOW)
@@ -567,14 +569,14 @@ class TestBufferedStep:
             assert loss == expected_loss
             assert_same_grads(grads, expected)
 
-    # 23 tracks are 4439 rows: shards of 1480, 1480 and 1479 rows, run on 1,
-    # 2 and 3 threads.
+    # 23 tracks are 4439 rows: 2 shards of 494 rows and 7 of 493, run on 1,
+    # 2 and 4 threads, so every thread reuses its buffers from shard to shard.
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_reused_buffers_never_leak_into_results(self, workers):
         arch = Architecture(6, (32, 64), 10)
         net = init_network(arch, Rng(32))
         executor = _StepExecutor(arch, 23 * 193, workers)
-        assert [hi - lo for lo, hi in executor.bounds] == [1480, 1480, 1479]
+        assert [hi - lo for lo, hi in executor.bounds] == [494] * 2 + [493] * 7
         try:
             first = random_batch(arch, 23, 33)
             second = random_batch(arch, 23, 35, scale=5.0)
@@ -588,6 +590,26 @@ class TestBufferedStep:
             expected_loss, expected = _reference_loss_grads(net, *batch)
             assert loss == expected_loss
             assert_same_grads(grads, expected)
+
+    def test_threads_never_share_a_scratch_set(self):
+        # 8 threads on the default batch's 13 shards, switching as often as
+        # the interpreter allows: a scratch set written by two threads at
+        # once would change some shard's gradient.
+        arch = Architecture(6, (32, 64), 10)
+        net = init_network(arch, Rng(36))
+        x, t = random_batch(arch, 32, 37)
+        expected_loss, expected = _reference_loss_grads(net, x, t)
+        executor = _StepExecutor(arch, len(x), 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                loss, grads = _parallel_loss_grads(net, x, t, 8, executor)
+                assert loss == expected_loss
+                assert_same_grads(grads, expected)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.shutdown()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_train_matches_reference_loop(self, split, workers):
@@ -612,10 +634,28 @@ class TestBufferedStep:
 
 
 class TestTiles:
-    def test_default_batch_runs_as_four_shards(self):
+    def test_default_batch_runs_as_thirteen_shards(self):
         executor = _StepExecutor(Architecture(6, (32, 64), 10), 32 * 193, 1)
-        assert [hi - lo for lo, hi in executor.bounds] == [1544] * 4
+        assert [hi - lo for lo, hi in executor.bounds] == [476] + [475] * 12
         assert executor.pool is None
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])
+    def test_one_scratch_set_per_thread(self, workers):
+        # The default batch's 13 shards run on min(workers, 13) threads, each
+        # with its own scratch set, sized to the largest shard.
+        arch = Architecture(6, (32, 64), 10)
+        executor = _StepExecutor(arch, 32 * 193, workers)
+        try:
+            threads = min(workers, 13)
+            assert len(executor.buffers) == threads
+            assert len({id(b) for b in executor.buffers}) == threads
+            for buffers in executor.buffers:
+                assert [z.shape for z in buffers.outputs] == [(476, 32), (476, 64), (476, 10)]
+                assert [d.shape for d in buffers.deltas] == [(476, 32), (476, 64)]
+                assert buffers.squares.shape == (476, 10) and buffers.ones.shape == (476,)
+            assert (executor.pool is None) == (threads == 1)
+        finally:
+            executor.shutdown()
 
     @pytest.mark.parametrize("n", [1, TILE_ROWS, TILE_ROWS + 1, 32 * 193, 48 * 193])
     def test_shards_are_contiguous_and_at_most_a_tile(self, n):
@@ -626,9 +666,11 @@ class TestTiles:
         assert len(bounds) == -(-n // TILE_ROWS)
 
     def test_train_is_bitwise_the_same_for_any_worker_count(self):
-        # 32 tracks of 193 rows make 4 shards; 10 validation tracks make
-        # 1930 rows, validated in 2 tiles of the first shard's 1544-row
-        # buffers.
+        # 32 tracks of 193 rows make 13 shards, more than any of the 1-4
+        # threads, so threads run several shards each through one scratch
+        # set; 10 validation tracks make 1930 rows, validated in 5 tiles of
+        # the first thread's 476-row buffers.
+        assert len(_StepExecutor(Architecture(6, (4,), 10), 32 * 193, 1).bounds) == 13
         split = make_split(32, n_val=10, seed=3)
         runs = []
         for workers in (1, 2, 3, 4):
@@ -641,8 +683,8 @@ class TestTiles:
             for (w, b), (w1, b1) in zip(ck.net.layers, ck1.net.layers):
                 assert np.array_equal(w, w1) and np.array_equal(b, b1)
 
-    # rows None: the first shard's buffers of a default-batch executor, which
-    # is what train() validates through.
+    # rows None: the first thread's buffers of a default-batch executor,
+    # which is what train() validates through.
     @pytest.mark.parametrize("rows", [None, 700, 5000])
     def test_tiled_validation_matches_one_forward_pass(self, rows):
         arch = Architecture(6, (32, 64), 10)
