@@ -86,12 +86,32 @@ def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
     return NetworkParams(arch, layers)
 
 
-def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
+def layer_operands(net: NetworkParams, rows: int, out=None) -> list:
+    """What forward_batch multiplies and adds per layer, for blocks of up to
+    `rows` rows: a (w.T, bias tile) pair per layer, with w.T a C-contiguous
+    copy and the tile the bias repeated on each of `rows` rows.
+
+    With out, a list this call returned before for the same architecture
+    and row count, the pairs are refreshed in place from net and out is
+    returned; nothing is allocated.
+    """
+    if out is None:
+        out = [(np.empty(w.shape[::-1]), np.empty((rows, w.shape[0]))) for w, _ in net.layers]
+    for (w, b), (wt, tile) in zip(net.layers, out):
+        np.copyto(wt, w.T)
+        np.copyto(tile, b)
+    return out
+
+
+def forward_batch(net: NetworkParams, inputs, out=None, operands=None) -> tuple:
     """Run a (n, input_dim) block of normalized inputs through the network.
 
     Each layer's output is allocated once, or written into out[i], an
     (n, rows) array per layer (hidden layers first) that the caller supplies
-    to reuse across calls. Bias-add and the activation run in place.
+    to reuse across calls. operands is what layer_operands returns for net
+    and at least n rows; a caller that runs many blocks through the same net
+    builds it once and passes it, and without it this call builds its own.
+    Bias-add and the activation run in place.
 
     Returns (outputs (n, output_dim), [hidden activations per hidden layer]).
     """
@@ -99,18 +119,25 @@ def forward_batch(net: NetworkParams, inputs, out=None) -> tuple:
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise DimensionMismatchError(
             f"expected inputs shaped (n, {net.arch.input_dim}), got {x.shape!s:.40}")
+    n = x.shape[0]
     if out is None:
-        out = [np.empty((x.shape[0], w.shape[0])) for w, _ in net.layers]
+        out = [np.empty((n, w.shape[0])) for w, _ in net.layers]
+    if operands is None:
+        operands = layer_operands(net, n)
     act = ACTIVATIONS[net.arch.activation]
     h = x
-    for i, ((w, b), z) in enumerate(zip(net.layers, out)):
+    for i, ((wt, tile), z) in enumerate(zip(operands, out)):
         # OpenBLAS multiplies by a C-contiguous copy of w.T faster than by
         # the strided w.T view, copy included: at 476 rows on one BLAS thread
         # of a 2-vCPU Xeon VM, 4.9, 27.8 and 23.1 us against 8.9, 37.2 and
         # 30.2 us for the default 6 -> 32, 32 -> 64 and 64 -> 10 layers. The
         # two take different kernels, so their bits can differ.
-        np.matmul(h, np.ascontiguousarray(w.T), out=z)
-        z += b
+        np.matmul(h, wt, out=z)
+        # Adding a tile of the block's shape does the same additions as
+        # broadcasting the bias row, but numpy runs a broadcast row by row:
+        # at 476 rows on one pinned CPU of the VM above, 5.3, 3.0 and 1.2 us
+        # against 14.6, 7.6 and 3.2 us for the 64-, 32- and 10-wide layers.
+        z += tile[:n]
         if i < len(net.layers) - 1:
             act(z, out=z)
         h = z

@@ -25,6 +25,7 @@ from .network import (
     fit_normalizer,
     forward_batch,
     init_network,
+    layer_operands,
 )
 from .numerics import Rng
 
@@ -85,7 +86,9 @@ class _StepBuffers:
     """One thread's scratch arrays for training steps of up to `rows` batch
     rows: each layer's output (the output layer's then holds diff and then
     delta), the squared errors, each hidden layer's delta, and the ones that
-    sum a delta's rows into a bias gradient."""
+    sum a delta's rows into a bias gradient. The layer operands, which every
+    thread only reads, are not here: the _StepExecutor holds one set for
+    all threads."""
 
     def __init__(self, arch: Architecture, rows: int):
         sizes = [r for r, _ in arch.layer_dims()]
@@ -107,16 +110,17 @@ def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None
 
 
 def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                    buffers: _StepBuffers) -> tuple:
+                    buffers: _StepBuffers, operands=None) -> tuple:
     """Mean squared error over all rows and outputs, and its exact gradient
     as (gw, gb) pairs shaped like net.layers.
 
     x is (n, input_dim) of normalized inputs, t is (n, output_dim). The
-    intermediates go into buffers, which must have room for n rows. The
-    returned loss and gradients never alias the buffers.
+    intermediates go into buffers, which must have room for n rows.
+    operands, if given, is net's layer_operands for at least n rows. The
+    returned loss and gradients never alias the buffers or operands.
     """
     n = x.shape[0]
-    outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs])
+    outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs], operands)
     k = outputs.shape[1]
     diff = np.subtract(outputs, t, out=outputs)
     squares = np.multiply(diff, diff, out=buffers.squares[:n])
@@ -202,40 +206,61 @@ def _tile_bounds(n_rows: int, most: int) -> list:
 
 
 def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
-    """Reduce per-shard (loss, grads) in shard order, weighting by shard size."""
+    """Reduce per-shard (loss, grads) in shard order, weighting by shard size.
+
+    The reduction runs in place: each shard's gradient arrays are scaled by
+    its row count, the first shard's then accumulate the others' and are
+    returned, so the shard results must not be read afterwards.
+    """
     loss = 0.0
     acc = None
     for (shard_loss, shard_grads), (lo, hi) in zip(results, bounds):
         w = hi - lo
         loss += w * shard_loss
+        for gw, gb in shard_grads:
+            gw *= w
+            gb *= w
         if acc is None:
-            acc = [[w * gw, w * gb] for gw, gb in shard_grads]
+            acc = shard_grads
         else:
-            for slot, (gw, gb) in zip(acc, shard_grads):
-                slot[0] += w * gw
-                slot[1] += w * gb
+            for (aw, ab), (gw, gb) in zip(acc, shard_grads):
+                aw += gw
+                ab += gb
     scale = 1.0 / n_rows
-    return loss * scale, [(gw * scale, gb * scale) for gw, gb in acc]
+    for gw, gb in acc:
+        gw *= scale
+        gb *= scale
+    return loss * scale, acc
 
 
 class _StepExecutor:
     """What every training step over a batch of n_rows rows reuses: the
     shard bounds, which depend on n_rows alone, one _StepBuffers per thread
-    that runs shards, each sized to the largest shard, and, when more than
-    one worker gets a shard, the thread pool of min(workers, shards) threads
-    that runs them.
+    that runs shards, each sized to the largest shard, the layer operands
+    that every shard reads, and, when more than one worker gets a shard, the
+    thread pool of min(workers, shards) threads that runs them.
 
     Thread g of T runs shards g, g + T, g + 2T, ... through buffers[g], so
     each scratch set stays warm in its core's cache from shard to shard.
-    Nothing here outlives the train() call that owns it.
+    The operands (each layer's contiguous w.T and its bias tiled to the
+    largest shard's rows) are made by the first prepare(net), and each later
+    one refreshes them in place: once per step and once per validation
+    point, on the calling thread while no shard runs. Nothing here outlives
+    the train() call that owns it.
     """
 
     def __init__(self, arch: Architecture, n_rows: int, workers: int):
         self.bounds = _tile_bounds(n_rows, TILE_ROWS)
         threads = min(workers, len(self.bounds))
-        rows = max(hi - lo for lo, hi in self.bounds)
-        self.buffers = [_StepBuffers(arch, rows) for _ in range(threads)]
+        self.rows = max(hi - lo for lo, hi in self.bounds)
+        self.buffers = [_StepBuffers(arch, self.rows) for _ in range(threads)]
+        self.operands = None
         self.pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+
+    def prepare(self, net: NetworkParams) -> list:
+        """The layer operands of net, for blocks of up to self.rows rows."""
+        self.operands = layer_operands(net, self.rows, out=self.operands)
+        return self.operands
 
     def shutdown(self) -> None:
         if self.pool is not None:
@@ -246,21 +271,24 @@ def _parallel_loss_grads(net, x, t, workers, executor) -> tuple:
     """Mean loss and gradient of a batch, computed shard by shard.
 
     executor is the _StepExecutor of a train() call, made for x's row count
-    and workers. Without a pool (one worker or one shard) every shard runs
-    in order on the calling thread through buffers[0]; with one, thread g
-    runs its shards g, g + T, ... in order through buffers[g]. workers
-    itself is not read here, but the benchmark's tracer tags each call's
-    span from it (benchmark/spans.py::_shard_count), so it keeps its place
-    in the signature.
+    and workers; its layer operands are refreshed from net once, before any
+    shard runs, and every shard reads them. Without a pool (one worker or
+    one shard) every shard runs in order on the calling thread through
+    buffers[0]; with one, thread g runs its shards g, g + T, ... in order
+    through buffers[g]. workers itself is not read here, but the
+    benchmark's tracer tags each call's span from it
+    (benchmark/spans.py::_shard_count), so it keeps its place in the
+    signature.
     """
-    # Shards only read net, and a shard's results never alias its buffers;
-    # results are reduced in shard order regardless of which thread ran a
-    # shard or when, so neither scheduling nor the thread count can change
-    # the outcome.
+    # Shards only read net and the operands, and a shard's results never
+    # alias its buffers; results are reduced in shard order regardless of
+    # which thread ran a shard or when, so neither scheduling nor the thread
+    # count can change the outcome.
     bounds, threads = executor.bounds, len(executor.buffers)
+    operands = executor.prepare(net)
 
     def run(g):
-        return [_batch_backprop(net, x[lo:hi], t[lo:hi], executor.buffers[g])
+        return [_batch_backprop(net, x[lo:hi], t[lo:hi], executor.buffers[g], operands)
                 for lo, hi in bounds[g::threads]]
 
     mapper = map if executor.pool is None else executor.pool.map
@@ -280,17 +308,19 @@ class HistoryRow:
 
 
 def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                 buffers: _StepBuffers) -> float:
+                 buffers: _StepBuffers, operands=None) -> float:
     """Mean squared error over all rows and outputs of (x, t).
 
     The rows run forward in tiles as large as buffers holds, each into
     buffers, and the tiles' sums of squares are added in tile order.
-    train() passes the first thread's scratch set, executor.buffers[0].
+    operands, if given, is net's layer_operands for at least that many rows;
+    without it each tile builds its own. train() passes the first thread's
+    scratch set, executor.buffers[0], and executor.prepare(net).
     """
     total = 0.0
     for lo, hi in _tile_bounds(len(x), len(buffers.squares)):
         n = hi - lo
-        outputs, _ = forward_batch(net, x[lo:hi], [z[:n] for z in buffers.outputs])
+        outputs, _ = forward_batch(net, x[lo:hi], [z[:n] for z in buffers.outputs], operands)
         diff = np.subtract(outputs, t[lo:hi], out=outputs)
         total += float(np.multiply(diff, diff, out=buffers.squares[:n]).sum())
     return total / t.size
@@ -339,12 +369,15 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
             x, t = sample_batch(batch_rng, data, cfg.batch_tracks, out=gathered)
             loss, grads = _parallel_loss_grads(net, x, t, cfg.workers, executor)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+                last = (f"last finite training loss {float(history[-1].train_mse)!r} "
+                        f"at epoch {epoch - 1}; " if history else "")
+                raise TrainingDivergedError(f"{last}non-finite training loss at epoch {epoch}")
             net, state = adam_step(net, grads, state, lr, cfg)
 
             val = None
             if val_x is not None and (epoch % cfg.validation_every == 0 or epoch == cfg.epochs):
-                val = _dataset_mse(net, val_x, val_t, executor.buffers[0])
+                val = _dataset_mse(net, val_x, val_t, executor.buffers[0],
+                                   executor.prepare(net))
                 if best is None or val < best[0]:
                     best = (val, net.copy(), epoch, loss)
             row = HistoryRow(epoch, lr, loss, val)

@@ -143,7 +143,7 @@ def test_02_parallel_gradient_equivalence(ci_corpus):
     arch = Architecture(6, (32, 64), 10)
     net = init_network(arch, Rng(201))
     batches = Rng(202)
-    rows = 32 * 193  # 4 shards, so every worker count above 1 runs a pool
+    rows = 32 * 193  # 13 shards, so every worker count above 1 runs a pool
     executors = {workers: _StepExecutor(arch, rows, workers) for workers in (1, 2, 3, 4, 8)}
     worst = 0.0
     try:

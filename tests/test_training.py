@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surgenet.dataset import DatasetSplit, default_oracle, generate_track
+from surgenet.dataset import DatasetSplit, StormTrack, default_oracle, generate_track
 from surgenet.errors import DomainError, TrainingDivergedError
 from surgenet.network import (
     Architecture,
@@ -418,6 +418,28 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train(cfg, split)
 
+    def test_divergence_names_the_last_finite_loss(self):
+        # The batch of 12 tracks diverges at epoch 2 at this learning rate.
+        cfg = TrainConfig(arch=Architecture(6, (8,), 10), epochs=3, batch_tracks=12,
+                          validation_every=0, seed=5, learning_rate=1e300)
+        split = make_split(12)
+        _, history = train(dataclasses.replace(cfg, epochs=1), split)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as info:
+                train(cfg, split)
+        assert str(info.value) == (f"last finite training loss {history[0].train_mse!r} "
+                                   "at epoch 1; non-finite training loss at epoch 2")
+
+    def test_divergence_at_the_first_epoch_names_no_earlier_loss(self, split):
+        # Targets of 1e200 square to infinity in the very first loss.
+        huge = tuple(StormTrack(tr.track_id, tr.inputs, tr.surge * 1e200)
+                     for tr in split.training)
+        cfg = self.small_cfg(epochs=3, validation_every=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as info:
+                train(cfg, DatasetSplit(huge, (), ()))
+        assert str(info.value) == "non-finite training loss at epoch 1"
+
     def test_oversized_batch_rejected(self, split):
         with pytest.raises(ValueError, match="exceeds"):
             train(self.small_cfg(batch_tracks=100), split)
@@ -529,6 +551,16 @@ def _reference_loss_grads(net, x, t):
     return loss * scale, [(gw * scale, gb * scale) for gw, gb in acc]
 
 
+def _reference_dataset_mse(net, x, t, rows):
+    """The validation MSE over tiles of at most `rows` rows, their sums of
+    squares added in tile order, as train() validates."""
+    total = 0.0
+    for lo, hi in _tile_bounds(len(x), rows):
+        diff = _reference_forward(net, x[lo:hi])[0] - t[lo:hi]
+        total += float((diff * diff).sum())
+    return total / t.size
+
+
 def assert_same_grads(got, expected):
     assert len(got) == len(expected)
     for (gw, gb), (ew, eb) in zip(got, expected):
@@ -611,18 +643,31 @@ class TestBufferedStep:
             sys.setswitchinterval(interval)
             executor.shutdown()
 
+    # 4 tracks are 772 rows: 2 shards of 386. The 3 validation tracks' 579
+    # rows then run as 2 tiles of the 386-row buffers, through operands that
+    # must be those of the net just updated, not of the step before it.
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_train_matches_reference_loop(self, split, workers):
-        cfg = TrainConfig(arch=Architecture(6, (8, 8), 10, "sigmoid"), epochs=15,
-                          batch_tracks=4, validation_every=0, seed=77, workers=workers)
+    @pytest.mark.parametrize("arch", [Architecture(6, (8, 8), 10, "sigmoid"),
+                                      Architecture(6, (32, 64), 10, "tanh")],
+                             ids=["sigmoid-8-8", "tanh-32-64"])
+    def test_train_matches_reference_loop(self, arch, workers):
+        split = make_split(8, n_val=3)
+        cfg = TrainConfig(arch=arch, epochs=15, batch_tracks=4, validation_every=5,
+                          seed=77, workers=workers)
         ck, history = train(cfg, split)
+        assert [row.epoch for row in history if row.val_mse is not None] == [5, 10, 15]
 
         tracks = split.training
         norm = fit_normalizer(np.concatenate([tr.inputs for tr in tracks]))
+        val_x = norm.apply(np.concatenate([tr.inputs for tr in split.validation]))
+        val_t = np.concatenate([tr.surge for tr in split.validation])
+        tile = max(hi - lo for lo, hi in _tile_bounds(cfg.batch_tracks * 193, TILE_ROWS))
+        assert len(_tile_bounds(len(val_x), tile)) == 2
         root = Rng(cfg.seed)
         net = init_network(cfg.arch, root.child(0))
         batch_rng = root.child(1)
         state = AdamState.zeros(net)
+        best = None
         for row in history:
             idx = batch_rng.choice_without_replacement(len(tracks), cfg.batch_tracks)
             x = np.concatenate([norm.apply(tracks[i].inputs) for i in idx])
@@ -630,7 +675,35 @@ class TestBufferedStep:
             loss, grads = _reference_loss_grads(net, x, t)
             assert row.train_mse == loss
             net, state = adam_step(net, grads, state, row.lr, cfg)
-        assert max_layer_diff(ck.net.layers, net.layers) == 0.0
+            if row.val_mse is not None:
+                val = _reference_dataset_mse(net, val_x, val_t, tile)
+                assert row.val_mse == val
+                if best is None or val < best[0]:
+                    best = (val, net)
+        assert max_layer_diff(ck.net.layers, best[1].layers) == 0.0
+
+    # Blocks of 1 row, one track, and the default batch's two shard sizes;
+    # scale 40 saturates tanh, where the ulp clip decides the activation.
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_prepared_forward_equals_one_off_forward(self, activation, scale):
+        arch = Architecture(6, (32, 64), 10, activation)
+        net = init_network(arch, Rng(60))
+        x, _ = random_batch(arch, 3, 61, scale)
+        executor = _StepExecutor(arch, 32 * 193, 1)
+        operands = executor.prepare(net)
+        for n in (1, 193, 475, 476):
+            scratch = [z[:n] for z in executor.buffers[0].outputs]
+            outputs, hidden = forward_batch(net, x[:n], scratch, operands)
+            prepared = [a.copy() for a in (outputs, *hidden)]
+            outputs, hidden = forward_batch(net, x[:n])
+            one_off = [outputs, *hidden]
+            outputs, hidden = _reference_forward(net, x[:n])
+            reference = [outputs, *hidden]
+            for a, b, c in zip(prepared, one_off, reference):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        if scale > 1.0 and activation == "tanh":
+            assert np.any(np.abs(reference[1]) == _ONE_BELOW)
 
 
 class TestTiles:
@@ -701,8 +774,9 @@ class TestStepAllocation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_default_step_allocates_under_1mb(self, workers):
         # The allocating step took about 15.7 MB of temporaries per call at
-        # these shapes; the buffered one allocates only the returned
-        # gradients, the shard results and the optimizer's new parameters.
+        # these shapes; the buffered one allocates only the shard results,
+        # which the reduction sums in place, and the optimizer's new
+        # parameters. The warm-up step makes the buffers and layer operands.
         arch = Architecture(6, (32, 64), 10)
         cfg = TrainConfig(arch=arch, epochs=1)
         data = (Rng(40).normal(size=(40, 193, 6)), Rng(41).normal(size=(40, 193, 10)))
@@ -716,7 +790,8 @@ class TestStepAllocation:
             return adam_step(net, grads, state, cfg.learning_rate, cfg)
 
         net = init_network(arch, Rng(43))
-        net, state = step(net, AdamState.zeros(net))  # warm: makes the buffers
+        net, state = step(net, AdamState.zeros(net))  # warm-up
+        operands = executor.operands
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -726,3 +801,4 @@ class TestStepAllocation:
             tracemalloc.stop()
         executor.shutdown()
         assert peak < 1_000_000
+        assert executor.operands is operands  # refreshed in place, not remade
