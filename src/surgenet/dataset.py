@@ -144,6 +144,11 @@ def validate_track(track: StormTrack) -> None:
     _check_input_ranges(track.inputs)
 
 
+def _check_has_rows(block: np.ndarray) -> None:
+    if len(block) == 0:
+        raise RowCountError("no data rows")
+
+
 def _check_input_ranges(inputs: np.ndarray) -> None:
     """Check (n, 6) input rows: rmax_km > 0, vmax_ms >= 0 and fspeed_ms >= 0.
     The first violation raises FieldRangeError naming its row and column."""
@@ -395,15 +400,13 @@ def surge_oracle(inputs, oracle: OracleParams) -> np.ndarray:
     g = (rmax / 50)^0.4 * exp((5 - fspeed) / 20).
 
     Smooth in every input and a function of the six input columns only, so
-    targets are exactly recomputable from the inputs. Accepts a single row
-    (6,) or a block (n, 6); returns (10,) or (n, 10).
+    targets are exactly recomputable from the inputs. Maps an (n, 6) block,
+    as generate_track passes it, to (n, 10); a bare (6,) row is refused.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != len(INPUT_COLUMNS):
-        raise ColumnSchemaError(
-            f"oracle inputs must have {len(INPUT_COLUMNS)} columns, got shape {x.shape!s:.40}")
+    if x.ndim != 2 or x.shape[1] != len(INPUT_COLUMNS):
+        raise ColumnSchemaError(f"oracle inputs must be a block of {len(INPUT_COLUMNS)} "
+                                f"columns, got shape {x.shape!s:.40}")
     tau, lon, lat, rmax, vmax, fspeed = x.T
 
     st_lons, st_lats, normals = _station_geometry(oracle)
@@ -419,9 +422,8 @@ def surge_oracle(inputs, oracle: OracleParams) -> np.ndarray:
     g = (rmax / G_RMAX_REF_KM) ** G_RMAX_EXP * np.exp(
         (G_FSPEED_REF_MS - fspeed) / G_FSPEED_SCALE)
 
-    surge = (oracle.amplitude_m_per_hpa * dp[:, None] * radial
-             * temporal[:, None] * (1.0 + oracle.asymmetry * q) * g[:, None])
-    return surge[0] if single else surge
+    return (oracle.amplitude_m_per_hpa * dp[:, None] * radial
+            * temporal[:, None] * (1.0 + oracle.asymmetry * q) * g[:, None])
 
 
 def generate_track(rng: Rng, oracle: OracleParams, track_id: str = "track") -> StormTrack:
@@ -471,11 +473,12 @@ def interpolate_to_grid(raw_inputs) -> np.ndarray:
 
     Rows may come in any tau order and spacing; values outside the given tau
     range hold the nearest boundary value. A single row extends as constant.
-    A non-finite cell or a repeated tau is refused, naming its row (in input
-    order) and column.
+    A block with no rows is refused, and so is a non-finite cell or a
+    repeated tau, naming its row (in input order) and column.
     """
     x = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
     _check_block(x, INPUT_COLUMNS)
+    _check_has_rows(x)
     order = np.argsort(x[:, 0], kind="stable")
     repeats = order[1:][np.diff(x[order, 0]) == 0]  # rows whose tau an earlier row has
     if repeats.size:
@@ -501,8 +504,7 @@ def read_input_series(path) -> np.ndarray:
         if missing:
             raise ColumnSchemaError(f"missing input columns {missing}")
         rows = _float_rows(lines, header, INPUT_COLUMNS)
-        if len(rows) == 0:
-            raise RowCountError("no data rows")
+        _check_has_rows(rows)
         _check_input_ranges(rows)
     return rows
 

@@ -73,9 +73,6 @@ class NetworkParams:
     arch: Architecture
     layers: list
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.arch, [(w.copy(), b.copy()) for w, b in self.layers])
-
 
 def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
     """Fresh parameters: weights ~ Normal(0, 1/sqrt(fan_in)), biases zero."""

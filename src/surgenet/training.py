@@ -110,14 +110,14 @@ def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None
 
 
 def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                    buffers: _StepBuffers, operands=None) -> tuple:
+                    buffers: _StepBuffers, operands: list) -> tuple:
     """Mean squared error over all rows and outputs, and its exact gradient
     as (gw, gb) pairs shaped like net.layers.
 
-    x is (n, input_dim) of normalized inputs, t is (n, output_dim). The
-    intermediates go into buffers, which must have room for n rows.
-    operands, if given, is net's layer_operands for at least n rows. The
-    returned loss and gradients never alias the buffers or operands.
+    x is (n, input_dim) of normalized inputs, t is (n, output_dim), and
+    operands is net's layer_operands for at least n rows. The intermediates
+    go into buffers, which must have room for n rows. The returned loss and
+    gradients never alias the buffers or operands.
     """
     n = x.shape[0]
     outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs], operands)
@@ -308,17 +308,17 @@ class HistoryRow:
 
 
 def _dataset_mse(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                 buffers: _StepBuffers, operands=None) -> float:
+                 executor: _StepExecutor) -> float:
     """Mean squared error over all rows and outputs of (x, t).
 
-    The rows run forward in tiles as large as buffers holds, each into
-    buffers, and the tiles' sums of squares are added in tile order.
-    operands, if given, is net's layer_operands for at least that many rows;
-    without it each tile builds its own. train() passes the first thread's
-    scratch set, executor.buffers[0], and executor.prepare(net).
+    The rows run forward as a step's shards do: in tiles of at most
+    executor.rows rows, through the first thread's scratch set and the
+    operands that executor.prepare(net) refreshes. The tiles' sums of
+    squares are added in tile order.
     """
+    buffers, operands = executor.buffers[0], executor.prepare(net)
     total = 0.0
-    for lo, hi in _tile_bounds(len(x), len(buffers.squares)):
+    for lo, hi in _tile_bounds(len(x), executor.rows):
         n = hi - lo
         outputs, _ = forward_batch(net, x[lo:hi], [z[:n] for z in buffers.outputs], operands)
         diff = np.subtract(outputs, t[lo:hi], out=outputs)
@@ -360,7 +360,7 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
     state = AdamState.zeros(net)
 
     history = []
-    best = None  # (val_mse, params copy, epoch, train_mse)
+    best = None  # (val_mse, params, epoch, train_mse)
     gathered = tuple(np.empty((cfg.batch_tracks, *part.shape[1:])) for part in data)
     executor = _StepExecutor(cfg.arch, cfg.batch_tracks * data[0].shape[1], cfg.workers)
     try:
@@ -376,10 +376,9 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
             val = None
             if val_x is not None and (epoch % cfg.validation_every == 0 or epoch == cfg.epochs):
-                val = _dataset_mse(net, val_x, val_t, executor.buffers[0],
-                                   executor.prepare(net))
+                val = _dataset_mse(net, val_x, val_t, executor)
                 if best is None or val < best[0]:
-                    best = (val, net.copy(), epoch, loss)
+                    best = (val, net, epoch, loss)  # adam_step never writes into net
             row = HistoryRow(epoch, lr, loss, val)
             history.append(row)
             if progress is not None and val is not None:

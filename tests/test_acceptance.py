@@ -36,6 +36,7 @@ from surgenet.evaluation import (
 from surgenet.network import (
     Architecture,
     init_network,
+    layer_operands,
     load_checkpoint,
     save_checkpoint,
 )
@@ -112,8 +113,10 @@ def test_01_gradient_correctness():
         # One (input, target) row through the training step's backprop.
         x = points.normal(size=(1, n_in))
         t = points.normal(size=(1, n_out))
+        # Each call builds the operands from net as it is then, since the
+        # loop below perturbs net's weights in place.
         buffers = _StepBuffers(net.arch, 1)
-        _, grads = _batch_backprop(net, x, t, buffers)
+        _, grads = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
         for li, (w, b) in enumerate(net.layers):
             for arr, ga in ((w, grads[li][0]), (b, grads[li][1])):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -121,9 +124,9 @@ def test_01_gradient_correctness():
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + step
-                    up, _ = _batch_backprop(net, x, t, buffers)
+                    up, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
                     arr[ix] = orig - step
-                    dn, _ = _batch_backprop(net, x, t, buffers)
+                    dn, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
                     arr[ix] = orig
                     fd = (up - dn) / (2 * step)
                     # Relative error with an absolute floor: near-zero

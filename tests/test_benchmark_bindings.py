@@ -57,7 +57,8 @@ def test_traced_train_and_evaluate_record_every_layer(tmp_path):
         tracer.uninstall()
     recorded = {name for _, name in tracer.totals()}
     for name in ("evaluation.prob_within", "evaluation.quantile_interval",
-                 "evaluation.fit_kde", "training.loss_grads", "training.backprop"):
+                 "evaluation.fit_kde", "training.loss_grads", "training.backprop",
+                 "training.validation"):
         assert name in recorded, name
     assert all(isinstance(s.tag, int) for s in tracer.spans if s.name == "training.loss_grads")
 

@@ -324,9 +324,13 @@ class TestSurgeOracle:
         lon, lat = ORACLE.stations[station]
         return np.array([0.0, lon, lat, 50.0, 56.0, 5.0])
 
+    def surge_at(self, row):
+        """The oracle's surge for one input row, run as a one-row block."""
+        return surge_oracle(row[None], ORACLE)[0]
+
     def test_storm_on_station_at_landfall_exact(self):
         for station in (0, 4, 9):
-            surge = surge_oracle(self.centered_row(station), ORACLE)
+            surge = self.surge_at(self.centered_row(station))
             assert surge[station] == 1.6
 
     def test_decay_along_the_shore_normal(self):
@@ -340,8 +344,8 @@ class TestSurgeOracle:
         row[2] = lat - ny * L / KM_PER_DEG_LAT
         # On the normal line the directional term vanishes, leaving the
         # radial factor alone: exp(-1/2).
-        center = surge_oracle(self.centered_row(station), ORACLE)[station]
-        shifted = surge_oracle(row, ORACLE)[station]
+        center = self.surge_at(self.centered_row(station))[station]
+        shifted = self.surge_at(row)[station]
         assert math.isclose(shifted / center, math.exp(-0.5), rel_tol=1e-9)
 
     def test_far_field_is_negligible(self):
@@ -353,28 +357,28 @@ class TestSurgeOracle:
         d = 5.0 * ORACLE.decay_km
         row[1] = lon - nx * d / KM_PER_DEG_LON
         row[2] = lat - ny * d / KM_PER_DEG_LAT
-        center = surge_oracle(self.centered_row(station), ORACLE)[station]
-        assert surge_oracle(row, ORACLE)[station] < center * 1e-5
+        center = self.surge_at(self.centered_row(station))[station]
+        assert self.surge_at(row)[station] < center * 1e-5
 
     def test_calm_storm_produces_no_surge(self):
         row = self.centered_row(3)
         row[4] = 0.0
-        np.testing.assert_array_equal(surge_oracle(row, ORACLE), np.zeros(10))
+        np.testing.assert_array_equal(self.surge_at(row), np.zeros(10))
 
     def test_smooth_in_every_input(self):
         row = make_track(seed=6).inputs[100]
-        base = surge_oracle(row, ORACLE)
+        base = self.surge_at(row)
         for c in range(6):
             bumped = row.copy()
             bumped[c] += 1e-6
-            assert np.abs(surge_oracle(bumped, ORACLE) - base).max() < 1e-3
+            assert np.abs(self.surge_at(bumped) - base).max() < 1e-3
 
     def test_batch_matches_rows(self):
         inputs = make_track(seed=7).inputs
         block = surge_oracle(inputs, ORACLE)
         assert block.shape == (N_ROWS, 10)
         for i in (0, 50, 144, 192):
-            np.testing.assert_array_equal(block[i], surge_oracle(inputs[i], ORACLE))
+            np.testing.assert_array_equal(block[i], self.surge_at(inputs[i]))
 
     def test_targets_recomputable_from_inputs(self):
         tr = make_track(seed=8)
@@ -383,6 +387,12 @@ class TestSurgeOracle:
     def test_wrong_width_rejected(self):
         with pytest.raises(ColumnSchemaError, match="6 columns"):
             surge_oracle(np.ones(5), ORACLE)
+
+    def test_bare_row_rejected(self):
+        # The oracle takes blocks only, as generate_track passes them.
+        with pytest.raises(ColumnSchemaError, match=r"^oracle inputs must be a block of "
+                                                    r"6 columns, got shape \(6,\)$"):
+            surge_oracle(self.centered_row(0), ORACLE)
 
 
 class TestGenerateTrack:
@@ -512,6 +522,12 @@ class TestInterpolateToGrid:
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ColumnSchemaError, match=r"^expected 6 columns, got shape \("):
             interpolate_to_grid(np.zeros(shape))
+
+    def test_empty_block_rejected(self):
+        # As read_input_series refuses a file with no data rows.
+        with pytest.raises(RowCountError, match=r"^in.csv: no data rows$"):
+            with named("in.csv"):
+                interpolate_to_grid(np.zeros((0, 6)))
 
 
 class TestReadInputSeries:

@@ -208,3 +208,67 @@ def test_the_bound_name_rule_sees_an_unused_name():
     tree = ast.parse("A = 1\nB: int = A\nC, D = 2, 3\ndef f(): return 'D'\nclass K: pass")
     used = set(referenced_names(tree))
     assert [name for name in bound_names(tree) if name not in used] == ["B", "C", "f", "K"]
+
+
+def defaults_every_call_passes(trees):
+    """"function.parameter" of each default of a private function or method
+    that every call of it in trees passes, by position or by keyword: a
+    default that only callers outside the package use. A call that spreads
+    *args or **kwargs is not counted as passing anything."""
+    params, calls = {}, {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            for func in node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []:
+                if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and func.name.startswith("_") and not func.name.endswith("__")):
+                    a = func.args
+                    # A method's calls do not pass self.
+                    positional = [*a.posonlyargs, *a.args][isinstance(node, ast.ClassDef):]
+                    defaulted = positional[len(positional) - len(a.defaults):]
+                    kw_only = [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    params[func.name] = [(p.arg, positional.index(p) if p in positional else None)
+                                         for p in (*defaulted, *kw_only)]
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    for name, defaults in params.items():
+        for param, index in defaults:
+            if calls.get(name) and all(
+                    any(k.arg == param for k in call.keywords)
+                    or (index is not None and index < len(call.args)
+                        and not any(isinstance(arg, ast.Starred) for arg in call.args))
+                    for call in calls[name]):
+                yield f"{name}.{param}"
+
+
+def test_every_default_is_left_out_by_some_call():
+    # A default that every call in the package passes keeps a second path
+    # that only tests reach; the parameter is then made required.
+    assert list(defaults_every_call_passes(ast.parse(p.read_text()) for p in SOURCES)) == []
+
+
+def test_the_default_rule_sees_a_default_every_call_passes():
+    tree = ast.parse("""
+def _f(a, b=1, *, c=2, d=3):
+    pass
+def _g(a, b=1):
+    pass
+def _h(a=1):
+    pass
+def k(a=1):
+    pass
+class C:
+    def _m(self, a=1):
+        pass
+    def _n(self, a=1):
+        pass
+_f(0, 1, c=2)
+_f(0, b=1, c=3)
+_g(0)
+_g(0, 1)
+_g(*x)
+k(1)
+C()._m(1)
+C()._n()
+""")
+    assert list(defaults_every_call_passes([tree])) == ["_f.b", "_f.c", "_m.a"]

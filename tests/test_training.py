@@ -19,6 +19,7 @@ from surgenet.network import (
     fit_normalizer,
     forward_batch,
     init_network,
+    layer_operands,
 )
 from surgenet.numerics import Rng
 from surgenet.training import (
@@ -71,9 +72,10 @@ def draw_batch(rng, data, batch_tracks):
 
 
 def row_backprop(net, x, t):
-    """Loss and gradients of one (input, target) row through the training step."""
+    """Loss and gradients of one (input, target) row through the training
+    step, with operands built from net as it is at this call."""
     return _batch_backprop(net, np.reshape(x, (1, -1)), np.reshape(t, (1, -1)),
-                           _StepBuffers(net.arch, 1))
+                           _StepBuffers(net.arch, 1), layer_operands(net, 1))
 
 
 def sharded_loss_grads(net, x, t, workers):
@@ -167,7 +169,8 @@ class TestBackprop:
         xs = Rng(6).normal(size=(8, 6))
         ts = Rng(7).normal(size=(8, 10))
         losses = [row_backprop(net, xs[i], ts[i])[0] for i in range(8)]
-        batch_loss, _ = _batch_backprop(net, xs, ts, _StepBuffers(net.arch, 8))
+        batch_loss, _ = _batch_backprop(net, xs, ts, _StepBuffers(net.arch, 8),
+                                        layer_operands(net, 8))
         assert math.isclose(batch_loss, float(np.mean(losses)), rel_tol=1e-12)
 
 
@@ -381,17 +384,24 @@ class TestTrain:
         for row in history:
             assert row.lr == cfg.learning_rate * cfg.lr_decay ** (row.epoch - 1)
 
-    def test_checkpoint_is_best_validation_epoch(self, split):
-        ck, history = train(self.small_cfg(), split)
+    # The default config's best epoch is its last; at this learning rate the
+    # validation MSE rises after epoch 55, so the net kept is not the final one.
+    @pytest.mark.parametrize("kw, last_is_best", [
+        ({}, True),
+        (dict(learning_rate=0.03, validation_every=5, epochs=60), False),
+    ], ids=["last-epoch", "earlier-epoch"])
+    def test_checkpoint_is_best_validation_epoch(self, split, kw, last_is_best):
+        ck, history = train(self.small_cfg(**kw), split)
         recorded = [(row.val_mse, row.epoch) for row in history if row.val_mse is not None]
         assert recorded, "validation should have run"
         best_val, best_epoch = min(recorded)
         assert ck.meta.epochs_trained == best_epoch
+        assert (best_epoch == history[-1].epoch) == last_is_best
         # Re-evaluating the stored parameters reproduces the recorded minimum.
         val_x = ck.normalizer.apply(np.concatenate([t.inputs for t in split.validation]))
         val_t = np.concatenate([t.surge for t in split.validation])
-        buffers = _StepBuffers(ck.net.arch, len(val_x))
-        assert math.isclose(_dataset_mse(ck.net, val_x, val_t, buffers), best_val,
+        executor = _StepExecutor(ck.net.arch, len(val_x), 1)
+        assert math.isclose(_dataset_mse(ck.net, val_x, val_t, executor), best_val,
                             rel_tol=1e-12)
 
     def test_validation_can_be_disabled(self, split):
@@ -589,9 +599,10 @@ class TestBufferedStep:
         if scale > 1.0 and activation == "tanh":
             assert np.any(np.abs(_reference_forward(net, x)[1][0]) == _ONE_BELOW)
 
-        # Buffers of the batch's size, and larger than the batch.
+        # Buffers and operands of the batch's size, and larger than the batch.
         for rows in (len(x), len(x) + 5):
-            loss, grads = _batch_backprop(net, x, t, _StepBuffers(arch, rows))
+            loss, grads = _batch_backprop(net, x, t, _StepBuffers(arch, rows),
+                                          layer_operands(net, rows))
             assert loss == ref_loss
             assert_same_grads(grads, ref_grads)
 
@@ -756,18 +767,18 @@ class TestTiles:
             for (w, b), (w1, b1) in zip(ck.net.layers, ck1.net.layers):
                 assert np.array_equal(w, w1) and np.array_equal(b, b1)
 
-    # rows None: the first thread's buffers of a default-batch executor,
-    # which is what train() validates through.
-    @pytest.mark.parametrize("rows", [None, 700, 5000])
-    def test_tiled_validation_matches_one_forward_pass(self, rows):
+    # Batches of 1, 700 and 6176 rows (the default) validate in tiles of
+    # 193, 350 and 476 rows, the largest shard of their step.
+    @pytest.mark.parametrize("batch_rows", [193, 700, 32 * 193])
+    def test_tiled_validation_matches_one_forward_pass(self, batch_rows):
         arch = Architecture(6, (32, 64), 10)
         net = init_network(arch, Rng(50))
         x, t = random_batch(arch, 26, 51)  # 5018 rows
         outputs, _ = forward_batch(net, x)
         whole = float(((outputs - t) ** 2).sum() / t.size)
-        buffers = (_StepExecutor(arch, 32 * 193, 1).buffers[0] if rows is None
-                   else _StepBuffers(arch, rows))
-        assert math.isclose(_dataset_mse(net, x, t, buffers), whole, rel_tol=1e-12)
+        executor = _StepExecutor(arch, batch_rows, 1)
+        assert executor.rows == {193: 193, 700: 350, 32 * 193: 476}[batch_rows]
+        assert math.isclose(_dataset_mse(net, x, t, executor), whole, rel_tol=1e-12)
 
 
 class TestStepAllocation:
