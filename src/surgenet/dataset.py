@@ -14,7 +14,7 @@ import functools
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .numerics import Rng
 N_ROWS = 193
 LANDFALL_ROW = 144  # tau = 0 here; 144 rows before, 48 after
 N_STATIONS = 10
+TAU_TOL_DAYS = 1e-9  # a tau this close to its grid value counts as on the grid
 
 INPUT_COLUMNS = ("tau_days", "lon_deg", "lat_deg", "rmax_km", "vmax_ms", "fspeed_ms")
 SURGE_COLUMNS = tuple(f"surge_{i:02d}" for i in range(1, N_STATIONS + 1))
@@ -134,7 +135,7 @@ def validate_track(track: StormTrack) -> None:
     _check_block(track.surge, SURGE_COLUMNS)
 
     expected_tau = tau_grid()
-    off = np.abs(track.tau - expected_tau) > 1e-9
+    off = np.abs(track.tau - expected_tau) > TAU_TOL_DAYS
     if off.any():
         r = int(np.argmax(off))
         raise TauGridError(
@@ -301,6 +302,9 @@ def load_track_csv(path) -> StormTrack:
     return track
 
 
+SPLIT_LABELS = ("train", "val", "test")  # one per DatasetSplit field, in their order
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     """Disjoint train/validation/test partitions of a corpus."""
@@ -320,22 +324,20 @@ def split_sizes(n_tracks: int) -> tuple:
     return n_tracks - 2 * part, part, part
 
 
-def split_dataset(tracks, seed: int) -> DatasetSplit:
-    """Shuffle deterministically by seed, then partition 70/15/15."""
-    tracks = list(tracks)
-    n = len(tracks)
-    ids = [tr.track_id for tr in tracks]
-    if len(set(ids)) != n:
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise TrackValidationError(f"duplicate track id {dup!r:.40}")
-    order = Rng(seed).shuffled_indices(n)
-    n_train, n_val, _ = split_sizes(n)
-    shuffled = [tracks[i] for i in order]
-    return DatasetSplit(
-        training=tuple(shuffled[:n_train]),
-        validation=tuple(shuffled[n_train:n_train + n_val]),
-        testing=tuple(shuffled[n_train + n_val:]),
-    )
+def assign_splits(n_tracks: int, seed: int) -> list:
+    """Each track's split label, in track order: the tracks, shuffled by
+    seed, are cut 70/15/15 (split_sizes) into train, val and test."""
+    n_train, n_val, _ = split_sizes(n_tracks)
+    ranks = np.argsort(Rng(seed).shuffled_indices(n_tracks))  # each track's shuffled place
+    return [SPLIT_LABELS[(r >= n_train) + (r >= n_train + n_val)] for r in ranks.tolist()]
+
+
+def _partition(labelled) -> DatasetSplit:
+    """The split of (label, track) pairs, each partition in pair order."""
+    parts = {label: [] for label in SPLIT_LABELS}
+    for label, track in labelled:
+        parts[label].append(track)
+    return DatasetSplit(*map(tuple, parts.values()))
 
 
 @dataclass(frozen=True)
@@ -463,7 +465,7 @@ def generate_track(rng: Rng, oracle: OracleParams, track_id: str = "track") -> S
 def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
     """Row range where |tau| <= half_width_days, clipped to the track."""
     check_value("half_width_days", half_width_days, float, above=0, at_most=1)
-    mask = np.abs(track.tau) <= half_width_days + 1e-12
+    mask = np.abs(track.tau) <= half_width_days + TAU_TOL_DAYS
     rows = np.nonzero(mask)[0]
     return range(int(rows[0]), int(rows[-1]) + 1)
 
@@ -471,12 +473,13 @@ def landfall_window(track: StormTrack, half_width_days: float = 0.5) -> range:
 def interpolate_to_grid(raw_inputs) -> np.ndarray:
     """Linearly interpolate irregular input rows onto the 30-minute tau grid.
 
-    Rows may come in any tau order and spacing; values outside the given tau
-    range hold the nearest boundary value. A single row extends as constant.
-    A block with no rows is refused, and so is a non-finite cell or a
-    repeated tau, naming its row (in input order) and column.
+    Takes an (n, 6) block; a bare (6,) row is refused. Rows may come in any
+    tau order and spacing; values outside the given tau range hold the
+    nearest boundary value, so one row extends as constant. A block with no
+    rows is refused, and so is a non-finite cell or a repeated tau, naming
+    its row (in input order) and column.
     """
-    x = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
+    x = np.asarray(raw_inputs, dtype=np.float64)
     _check_block(x, INPUT_COLUMNS)
     _check_has_rows(x)
     order = np.argsort(x[:, 0], kind="stable")
@@ -510,7 +513,6 @@ def read_input_series(path) -> np.ndarray:
 
 
 MANIFEST_NAME = "manifest.csv"
-SPLIT_LABELS = ("train", "val", "test")  # one per DatasetSplit field, in their order
 
 
 def write_manifest(entries, path) -> None:
@@ -568,7 +570,8 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
     Track i is produced from an independent child generator keyed by
     (seed, i), so any subset of tracks is reproducible in isolation; the
     split shuffle draws from the root stream, which the children never touch.
-    Fewer than 7 tracks leave validation and test empty (split_sizes).
+    Fewer than 7 tracks leave validation and test empty (split_sizes). The
+    split returned is the one load_corpus reads back, in manifest order.
     """
     check_value("n_tracks", n_tracks, int, at_least=1)
     out_dir = Path(out_dir)
@@ -579,24 +582,22 @@ def generate_corpus(n_tracks: int, seed: int, oracle: OracleParams, out_dir) -> 
         generate_track(root.child(i), oracle, track_id=f"track_{i + 1:0{width}d}")
         for i in range(n_tracks)
     ]
-    split = split_dataset(tracks, seed=seed)
-    parts = (getattr(split, f.name) for f in fields(split))
-    label_by_id = {tr.track_id: label for label, part in zip(SPLIT_LABELS, parts) for tr in part}
+    labels = assign_splits(n_tracks, seed)
     entries = []
-    for tr in tracks:
+    for tr, label in zip(tracks, labels):
         name = f"{tr.track_id}.csv"
         save_track_csv(tr, out_dir / name)
-        entries.append((tr.track_id, name, label_by_id[tr.track_id]))
+        entries.append((tr.track_id, name, label))
     write_manifest(entries, out_dir / MANIFEST_NAME)
-    return split
+    return _partition(zip(labels, tracks))
 
 
 def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     """Load the tracks a corpus manifest files under the given split labels.
 
     The whole manifest is read and checked (read_manifest), but a track file
-    is opened only when its row's label is in labels. Partitions whose label
-    is not asked for come back as empty tuples.
+    is opened only when its row's label is in labels. Each partition keeps
+    manifest order; one whose label is not asked for comes back empty.
     """
     unknown = [label for label in labels if label not in SPLIT_LABELS]
     if unknown:
@@ -605,8 +606,5 @@ def load_corpus(corpus_dir, labels=SPLIT_LABELS) -> DatasetSplit:
     manifest = corpus_dir / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {str(corpus_dir)[-40:]}")
-    buckets = {label: [] for label in SPLIT_LABELS}
-    for _, file, split in read_manifest(manifest):
-        if split in labels:
-            buckets[split].append(load_track_csv(corpus_dir / file))
-    return DatasetSplit(*map(tuple, buckets.values()))
+    return _partition((split, load_track_csv(corpus_dir / file))
+                      for _, file, split in read_manifest(manifest) if split in labels)

@@ -213,7 +213,6 @@ class EvaluationResult:
     full_pdfs: list
     window_pdfs: list
     series: list  # (track, predictions) pairs in evaluation order
-    window_days: float
 
 
 def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> EvaluationResult:
@@ -230,7 +229,7 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
         [fit_kde(e, location=i) for i, e in enumerate(pool_errors(series, days), start=1)]
         for days in (None, window_days))
     metrics = location_metrics(preds, obs)
-    return EvaluationResult(label, metrics, full_pdfs, window_pdfs, series, window_days)
+    return EvaluationResult(label, metrics, full_pdfs, window_pdfs, series)
 
 
 METRICS_HEADER = (

@@ -457,7 +457,7 @@ class TestReportBytes:
         metrics = [LocationMetrics(i + 1, data.draw(values()), data.draw(values()), 1)
                    for i in range(N_STATIONS)]
         drawn = evaluation.EvaluationResult(result.label, metrics, result.full_pdfs,
-                                            result.window_pdfs, series, result.window_days)
+                                            result.window_pdfs, series)
         tmp = tmp_path_factory.mktemp("report")
         metrics_path, series_path = emit_report(drawn, tmp / "new")
         reference_metrics(drawn, tmp / "ref_metrics.csv")
@@ -546,7 +546,7 @@ class TestAtomicWrite:
         with pytest.raises(ValueError):
             emit_report(evaluation.EvaluationResult(
                 result.label, result.metrics, result.full_pdfs, result.window_pdfs,
-                broken, result.window_days), tmp_path)
+                broken), tmp_path)
         assert series_path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "metrics_test.csv", "timeseries_test.csv"]

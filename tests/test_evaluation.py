@@ -365,7 +365,7 @@ class TestEvaluateAndReport:
         assert len(result.window_pdfs) == 10
         assert [pdf.location for pdf in result.full_pdfs] == list(range(1, 11))
         assert all(e.size == 193 * 6 for e in pool_errors(result.series))
-        assert all(e.size == 49 * 6 for e in pool_errors(result.series, result.window_days))
+        assert all(e.size == 49 * 6 for e in pool_errors(result.series, 0.5))
 
     def test_network_runs_once_per_track(self, untrained, monkeypatch):
         net, normalizer, tracks = untrained

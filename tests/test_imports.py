@@ -2,7 +2,7 @@
 every name a module imports is used in that module, every name a module
 binds is used somewhere, and every message cuts the values it echoes, a
 foreign exception's message, a caller's argument and an array's shape
-included."""
+included, and one function builds every DatasetSplit."""
 
 import ast
 from pathlib import Path
@@ -272,3 +272,38 @@ C()._m(1)
 C()._n()
 """)
     assert list(defaults_every_call_passes([tree])) == ["_f.b", "_f.c", "_m.a"]
+
+
+def split_builders(tree):
+    """The name of the function around each DatasetSplit(...) call, or ""
+    for a call outside any function."""
+    def visit(node, owner):
+        if isinstance(node, ast.Call) and "DatasetSplit" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+    return list(visit(tree, ""))
+
+
+def test_one_function_builds_a_split():
+    # generate_corpus and load_corpus both return _partition's split, so the
+    # library and the CLI see one corpus in one order.
+    found = [f"{path.name}: {owner}" for path in SOURCES
+             for owner in split_builders(ast.parse(path.read_text()))]
+    assert found == ["dataset.py: _partition"]
+
+
+def test_the_split_rule_sees_a_second_builder():
+    tree = ast.parse("""
+SPLIT = DatasetSplit((), (), ())
+def _partition(parts):
+    return DatasetSplit(*parts)
+def f(tracks):
+    def g():
+        return dataset.DatasetSplit(tracks, (), ())
+    return g, DatasetSplits(), split.DatasetSplit
+""")
+    assert split_builders(tree) == ["", "_partition", "g"]

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surgenet.dataset import DatasetSplit, StormTrack, default_oracle, generate_track
+from surgenet.dataset import (
+    DatasetSplit,
+    StormTrack,
+    default_oracle,
+    generate_corpus,
+    generate_track,
+    load_corpus,
+)
 from surgenet.errors import DomainError, TrainingDivergedError
 from surgenet.network import (
     Architecture,
@@ -20,6 +27,7 @@ from surgenet.network import (
     forward_batch,
     init_network,
     layer_operands,
+    save_checkpoint,
 )
 from surgenet.numerics import Rng
 from surgenet.training import (
@@ -465,6 +473,25 @@ class TestTrain:
         train(self.small_cfg(epochs=80, validation_every=40), split, progress=rows.append)
         assert [r.epoch for r in rows] == [40, 80]
         assert all(r.val_mse is not None for r in rows)
+
+
+class TestCorpusRoute:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_generated_and_loaded_splits_train_the_same_bytes(self, tmp_path, seed):
+        # Training on generate_corpus' returned split, as a library caller
+        # does, and on load_corpus of its files, as cmd_train does, writes
+        # the same bytes.
+        cfg = TrainConfig(arch=Architecture(6, (8,), 10), epochs=20, batch_tracks=4,
+                          validation_every=10, seed=seed)
+        splits = {"generated": generate_corpus(20, seed, default_oracle(), tmp_path / "c")}
+        splits["loaded"] = load_corpus(tmp_path / "c")
+        for route, split in splits.items():
+            ckpt, history = train(cfg, split)
+            save_checkpoint(ckpt.net, ckpt.normalizer, ckpt.meta, tmp_path / f"{route}.json")
+            write_history(history, tmp_path / f"{route}_history.csv")
+        for name in ("{}.json", "{}_history.csv"):
+            generated = (tmp_path / name.format("generated")).read_bytes()
+            assert generated == (tmp_path / name.format("loaded")).read_bytes()
 
 
 class TestWriteHistory:
