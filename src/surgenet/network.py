@@ -85,18 +85,25 @@ def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
 
 def layer_operands(net: NetworkParams, rows: int, out=None) -> list:
     """What forward_batch multiplies and adds per layer, for blocks of up to
-    `rows` rows: a (w.T, bias tile) pair per layer, with w.T a C-contiguous
-    copy and the tile the bias repeated on each of `rows` rows.
+    `rows` rows: a (w.T, bias tile, norms) triple per layer, with w.T a
+    C-contiguous copy, the tile the bias repeated on each of `rows` rows,
+    and norms the pair (max_j ||w_j||_1, max_j |b_j|) over the layer's
+    output rows j. For inputs at most r in magnitude each pre-activation j
+    then lies within r * ||w_j||_1 + |b_j|, so norms bound the layer's
+    outputs at the cost of one pass over its weights.
 
     With out, a list this call returned before for the same architecture
-    and row count, the pairs are refreshed in place from net and out is
-    returned; nothing is allocated.
+    and row count, the triples are refreshed in place from net and out is
+    returned; only the weights' absolute values are allocated.
     """
     if out is None:
-        out = [(np.empty(w.shape[::-1]), np.empty((rows, w.shape[0]))) for w, _ in net.layers]
-    for (w, b), (wt, tile) in zip(net.layers, out):
+        out = [(np.empty(w.shape[::-1]), np.empty((rows, w.shape[0])), np.empty(2))
+               for w, _ in net.layers]
+    for (w, b), (wt, tile, norms) in zip(net.layers, out):
         np.copyto(wt, w.T)
         np.copyto(tile, b)
+        norms[0] = np.abs(w).sum(axis=1).max()
+        norms[1] = np.abs(b).max()
     return out
 
 
@@ -108,7 +115,9 @@ def forward_batch(net: NetworkParams, inputs, out=None, operands=None) -> tuple:
     to reuse across calls. operands is what layer_operands returns for net
     and at least n rows; a caller that runs many blocks through the same net
     builds it once and passes it, and without it this call builds its own.
-    Bias-add and the activation run in place.
+    Bias-add and the activation run in place. Each activation is given the
+    bound on its inputs that the operands' norms imply: from max |x| for the
+    first layer, and from 1 for a later one, whose inputs are activations.
 
     Returns (outputs (n, output_dim), [hidden activations per hidden layer]).
     """
@@ -122,8 +131,12 @@ def forward_batch(net: NetworkParams, inputs, out=None, operands=None) -> tuple:
     if operands is None:
         operands = layer_operands(net, n)
     act = ACTIVATIONS[net.arch.activation]
+    # The largest input magnitude of the layer: max |x| for the first, 1
+    # after an activation. A NaN or inf in x or the weights makes the bound
+    # NaN or inf, so the activation then searches its block for saturation.
+    largest = np.abs(x).max(initial=0.0)
     h = x
-    for i, ((wt, tile), z) in enumerate(zip(operands, out)):
+    for i, ((wt, tile, norms), z) in enumerate(zip(operands, out)):
         # OpenBLAS multiplies by a C-contiguous copy of w.T faster than by
         # the strided w.T view, copy included: at 476 rows on one BLAS thread
         # of a 2-vCPU Xeon VM, 4.9, 27.8 and 23.1 us against 8.9, 37.2 and
@@ -136,7 +149,8 @@ def forward_batch(net: NetworkParams, inputs, out=None, operands=None) -> tuple:
         # against 14.6, 7.6 and 3.2 us for the 64-, 32- and 10-wide layers.
         z += tile[:n]
         if i < len(net.layers) - 1:
-            act(z, out=z)
+            act(z, out=z, bound=largest * norms[0] + norms[1])
+            largest = 1.0
         h = z
     return h, list(out[:-1])
 

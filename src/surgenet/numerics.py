@@ -4,7 +4,14 @@ package.
 Everything here is pure, but numpy picks its exp and tanh kernels per CPU:
 the same seed, the same numpy SIMD targets, and the same OpenBLAS core and
 thread count give the same bytes, for any number of workers.
+
+Each activation pulls saturated outputs inside its open interval, and
+declares a radius within which its formula cannot saturate. Given a bound on
+the magnitude of its inputs that lies below the radius, it skips that work,
+which then could change no bit.
 """
+
+import math
 
 import numpy as np
 
@@ -14,16 +21,28 @@ from .errors import DomainError
 # this so outputs stay strictly inside their open intervals.
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 _ZERO_ABOVE = np.nextafter(0.0, 1.0)
+# Below these input magnitudes neither formula reaches the ends of its
+# interval: 1 - tanh(16) is about 2.5e-14, some 230 ulps below 1, and
+# sigmoid(+-30) lies about 9.4e-14 inside (0, 1). On a Xeon with AVX-512,
+# tanh first rounds to 1 near 18.99 and 1 / (1 + exp(-v)) near 36.7, so a
+# bound that is a few ulps low still stays clear of both. tests/test_numerics.py
+# checks both radii on the running CPU's kernels.
+_TANH_RADIUS = 16.0
+_SIGMOID_RADIUS = 30.0
 
 
-def tanh_act(v, out=None) -> np.ndarray:
+def tanh_act(v, out=None, bound=math.inf) -> np.ndarray:
     """Componentwise hyperbolic tangent, written into out if given (out may
     be v itself).
 
     Saturated entries are pulled in by one ulp so results are strictly
-    inside (-1, 1).
+    inside (-1, 1). bound, if given, is at least the largest |v|; below
+    _TANH_RADIUS no entry can saturate, and v is not searched for one.
     """
     out = np.tanh(np.asarray(v, dtype=np.float64), out=out)
+    # A NaN bound fails the comparison, so the block is searched.
+    if bound < _TANH_RADIUS:
+        return out
     # Clipping rewrites every entry; finding none saturated only reads them.
     # A NaN fails both comparisons and np.clip keeps it, so skipping the clip
     # when nothing reaches +-1 changes no bit. initial= lets an empty block
@@ -33,12 +52,15 @@ def tanh_act(v, out=None) -> np.ndarray:
     return out
 
 
-def sigmoid_act(v, out=None) -> np.ndarray:
+def sigmoid_act(v, out=None, bound=math.inf) -> np.ndarray:
     """Componentwise logistic function, strictly inside (0, 1), written into
     out if given (out may be v itself).
 
     With e = exp(-|v|), which never exponentiates a large positive argument,
-    it is 1 / (1 + e) where v >= 0 and e / (1 + e) where v < 0.
+    it is 1 / (1 + e) where v >= 0 and e / (1 + e) where v < 0. Saturated
+    entries are pulled in to the nearest float inside (0, 1); bound, if
+    given, is at least the largest |v|, and below _SIGMOID_RADIUS no entry
+    can saturate, so none is clipped.
     """
     z = np.asarray(v, dtype=np.float64)
     neg = z < 0
@@ -49,6 +71,8 @@ def sigmoid_act(v, out=None) -> np.ndarray:
     np.divide(e, out, out=e)
     np.divide(1.0, out, out=out)
     np.copyto(out, e, where=neg)
+    if bound < _SIGMOID_RADIUS:
+        return out
     return np.clip(out, _ZERO_ABOVE, _ONE_BELOW, out=out)
 
 

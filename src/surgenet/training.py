@@ -110,14 +110,14 @@ def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None
 
 
 def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
-                    buffers: _StepBuffers, operands: list) -> tuple:
-    """Mean squared error over all rows and outputs, and its exact gradient
-    as (gw, gb) pairs shaped like net.layers.
+                    buffers: _StepBuffers, operands: list, grads: list) -> tuple:
+    """Mean squared error over all rows and outputs, and its exact gradient,
+    written into grads: (gw, gb) pairs of C-contiguous arrays shaped like
+    net.layers, such as one shard's slot of a _StepExecutor's stack.
 
     x is (n, input_dim) of normalized inputs, t is (n, output_dim), and
     operands is net's layer_operands for at least n rows. The intermediates
-    go into buffers, which must have room for n rows. The returned loss and
-    gradients never alias the buffers or operands.
+    go into buffers, which must have room for n rows. Returns (loss, grads).
     """
     n = x.shape[0]
     outputs, hidden = forward_batch(net, x, [z[:n] for z in buffers.outputs], operands)
@@ -129,12 +129,14 @@ def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
     acts = [x, *hidden]  # input to each layer
     delta = np.multiply(diff, 2.0 / (n * k), out=diff)
     ones = buffers.ones[:n]
-    grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        # The bias gradient is the column sum of delta, taken as a BLAS
-        # product: delta.sum(axis=0) reduces row by row and is several times
-        # slower at these shapes.
-        grads[i] = (delta.T @ acts[i], ones @ delta)
+        gw, gb = grads[i]
+        # The products take the kernels that allocating ones would, so the
+        # bits are the same. The bias gradient is the column sum of delta,
+        # taken as a BLAS product: delta.sum(axis=0) reduces row by row and
+        # is several times slower at these shapes.
+        np.matmul(delta.T, acts[i], out=gw)
+        np.matmul(ones, delta, out=gb)
         if i > 0:
             # This layer's input is no longer needed, so its slope replaces it.
             w, _ = net.layers[i]
@@ -205,48 +207,38 @@ def _tile_bounds(n_rows: int, most: int) -> list:
     return bounds
 
 
-def _weighted_mean_grads(results, bounds, n_rows: int) -> tuple:
-    """Reduce per-shard (loss, grads) in shard order, weighting by shard size.
-
-    The reduction runs in place: each shard's gradient arrays are scaled by
-    its row count, the first shard's then accumulate the others' and are
-    returned, so the shard results must not be read afterwards.
-    """
-    loss = 0.0
-    acc = None
-    for (shard_loss, shard_grads), (lo, hi) in zip(results, bounds):
-        w = hi - lo
-        loss += w * shard_loss
-        for gw, gb in shard_grads:
-            gw *= w
-            gb *= w
-        if acc is None:
-            acc = shard_grads
-        else:
-            for (aw, ab), (gw, gb) in zip(acc, shard_grads):
-                aw += gw
-                ab += gb
-    scale = 1.0 / n_rows
-    for gw, gb in acc:
-        gw *= scale
-        gb *= scale
-    return loss * scale, acc
+def _grad_views(flat: np.ndarray, dims: list) -> list:
+    """(gw, gb) views of flat, which holds each layer's weight gradient then
+    its bias gradient, layers in the order of dims, an Architecture's
+    layer_dims()."""
+    views, lo = [], 0
+    for rows, cols in dims:
+        mid = lo + rows * cols
+        views.append((flat[lo:mid].reshape(rows, cols), flat[mid:mid + rows]))
+        lo = mid + rows
+    return views
 
 
 class _StepExecutor:
     """What every training step over a batch of n_rows rows reuses: the
     shard bounds, which depend on n_rows alone, one _StepBuffers per thread
     that runs shards, each sized to the largest shard, the layer operands
-    that every shard reads, and, when more than one worker gets a shard, the
-    thread pool of min(workers, shards) threads that runs them.
+    that every shard reads, the stack that every shard's gradients go into,
+    and, when more than one worker gets a shard, the thread pool of
+    min(workers, shards) threads that runs them.
 
     Thread g of T runs shards g, g + T, g + 2T, ... through buffers[g], so
     each scratch set stays warm in its core's cache from shard to shard.
-    The operands (each layer's contiguous w.T and its bias tiled to the
-    largest shard's rows) are made by the first prepare(net), and each later
-    one refreshes them in place: once per step and once per validation
-    point, on the calling thread while no shard runs. Nothing here outlives
-    the train() call that owns it.
+    The operands (each layer's contiguous w.T, its bias tiled to the
+    largest shard's rows, and the norms that bound its outputs) are made by
+    the first prepare(net), and each later one refreshes them in place: once
+    per step and once per validation point, on the calling thread while no
+    shard runs.
+
+    Row s of grads holds shard s's gradients, laid out as _grad_views reads
+    them, and slots[s] is that row's (gw, gb) views per layer; counts holds
+    each shard's row count as a float, shaped (shards, 1) to scale the rows
+    of grads. Nothing here outlives the train() call that owns it.
     """
 
     def __init__(self, arch: Architecture, n_rows: int, workers: int):
@@ -255,6 +247,10 @@ class _StepExecutor:
         self.rows = max(hi - lo for lo, hi in self.bounds)
         self.buffers = [_StepBuffers(arch, self.rows) for _ in range(threads)]
         self.operands = None
+        self.dims = arch.layer_dims()
+        self.grads = np.zeros((len(self.bounds), sum(r * c + r for r, c in self.dims)))
+        self.slots = [_grad_views(row, self.dims) for row in self.grads]
+        self.counts = np.array([[hi - lo] for lo, hi in self.bounds], dtype=np.float64)
         self.pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def prepare(self, net: NetworkParams) -> list:
@@ -265,6 +261,30 @@ class _StepExecutor:
     def shutdown(self) -> None:
         if self.pool is not None:
             self.pool.shutdown()
+
+
+def _weighted_mean_grads(losses: list, executor: _StepExecutor) -> tuple:
+    """Reduce the shard losses, in shard order, and the shard gradients in
+    executor.grads, weighting each shard by its row count.
+
+    Each shard's row is scaled by its count in place, the rows are summed
+    into a new array and that is scaled by 1 / rows: the products and
+    additions, in shard order, of scaling each shard's arrays and adding
+    them one by one, so the bits are the same. The returned gradients are
+    views of that new array, never of the stack. executor.grads is left
+    scaled, for the next step to overwrite.
+    """
+    loss = 0.0
+    for shard_loss, (lo, hi) in zip(losses, executor.bounds):
+        loss += (hi - lo) * shard_loss
+    scale = 1.0 / executor.bounds[-1][1]
+    stack = np.multiply(executor.grads, executor.counts, out=executor.grads)
+    # Along the outer axis of rows longer than one value, numpy adds row
+    # after row (one-value rows would be summed pairwise). Starting from
+    # -0.0, the identity of addition, keeps a sum of -0.0 shards negative.
+    total = np.add.reduce(stack, axis=0, initial=-0.0)
+    total *= scale
+    return loss * scale, _grad_views(total, executor.dims)
 
 
 def _parallel_loss_grads(net, x, t, workers, executor) -> tuple:
@@ -280,21 +300,21 @@ def _parallel_loss_grads(net, x, t, workers, executor) -> tuple:
     (benchmark/spans.py::_shard_count), so it keeps its place in the
     signature.
     """
-    # Shards only read net and the operands, and a shard's results never
-    # alias its buffers; results are reduced in shard order regardless of
-    # which thread ran a shard or when, so neither scheduling nor the thread
-    # count can change the outcome.
+    # Shards only read net and the operands, and shard s writes its
+    # gradients into slot s of the executor's stack alone; results are
+    # reduced in shard order regardless of which thread ran a shard or when,
+    # so neither scheduling nor the thread count can change the outcome.
     bounds, threads = executor.bounds, len(executor.buffers)
     operands = executor.prepare(net)
 
     def run(g):
-        return [_batch_backprop(net, x[lo:hi], t[lo:hi], executor.buffers[g], operands)
-                for lo, hi in bounds[g::threads]]
+        return [_batch_backprop(net, x[lo:hi], t[lo:hi], executor.buffers[g], operands, slot)[0]
+                for (lo, hi), slot in zip(bounds[g::threads], executor.slots[g::threads])]
 
     mapper = map if executor.pool is None else executor.pool.map
     per_thread = list(mapper(run, range(threads)))
-    results = [per_thread[i % threads][i // threads] for i in range(len(bounds))]
-    return _weighted_mean_grads(results, bounds, x.shape[0])
+    losses = [per_thread[s % threads][s // threads] for s in range(len(bounds))]
+    return _weighted_mean_grads(losses, executor)
 
 
 @dataclass(frozen=True)

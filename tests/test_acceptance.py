@@ -116,7 +116,10 @@ def test_01_gradient_correctness():
         # Each call builds the operands from net as it is then, since the
         # loop below perturbs net's weights in place.
         buffers = _StepBuffers(net.arch, 1)
-        _, grads = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
+        # The perturbed calls write their gradients into scratch, not grads.
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in net.layers]
+        scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in net.layers]
+        _, grads = _batch_backprop(net, x, t, buffers, layer_operands(net, 1), grads)
         for li, (w, b) in enumerate(net.layers):
             for arr, ga in ((w, grads[li][0]), (b, grads[li][1])):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -124,9 +127,11 @@ def test_01_gradient_correctness():
                     ix = it.multi_index
                     orig = arr[ix]
                     arr[ix] = orig + step
-                    up, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
+                    up, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1),
+                                            scratch)
                     arr[ix] = orig - step
-                    dn, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1))
+                    dn, _ = _batch_backprop(net, x, t, buffers, layer_operands(net, 1),
+                                            scratch)
                     arr[ix] = orig
                     fd = (up - dn) / (2 * step)
                     # Relative error with an absolute floor: near-zero

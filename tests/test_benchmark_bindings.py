@@ -56,9 +56,11 @@ def test_traced_train_and_evaluate_record_every_layer(tmp_path):
     finally:
         tracer.uninstall()
     recorded = {name for _, name in tracer.totals()}
+    # The per-layer evidence of a training step: a step that bypassed the
+    # reduction's binding or the ACTIVATIONS table would record no span here.
     for name in ("evaluation.prob_within", "evaluation.quantile_interval",
                  "evaluation.fit_kde", "training.loss_grads", "training.backprop",
-                 "training.validation"):
+                 "training.validation", "training.reduce", "numerics.tanh_act"):
         assert name in recorded, name
     assert all(isinstance(s.tag, int) for s in tracer.spans if s.name == "training.loss_grads")
 

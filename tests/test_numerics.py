@@ -5,7 +5,7 @@ import pytest
 
 from surgenet.errors import DimensionMismatchError
 from surgenet.network import fit_normalizer
-from surgenet.numerics import Rng, sigmoid_act, tanh_act
+from surgenet.numerics import _SIGMOID_RADIUS, _TANH_RADIUS, Rng, sigmoid_act, tanh_act
 
 ONE_BELOW = np.nextafter(1.0, 0.0)
 
@@ -38,9 +38,11 @@ class TestActivations:
         np.testing.assert_array_equal(other, expected)
         assert np.all(expected > -1.0) and np.all(expected < 1.0)
 
+    @pytest.mark.parametrize("bounded", [False, True])
     @pytest.mark.parametrize("fill", ["none", "high", "low", "nan", "all_nan", "empty"])
-    def test_tanh_bits_match_clipping_every_entry(self, fill):
-        # tanh_act clips only blocks that reach +-1; the bits must be those of
+    def test_tanh_bits_match_clipping_every_entry(self, fill, bounded):
+        # tanh_act clips only blocks that reach +-1, and searches only those
+        # whose bound is not below its radius; the bits must be those of
         # clipping every block, NaN, -0.0 and infinities included.
         v = Rng(3).normal(size=(476, 64))
         v[0, 0] = -0.0
@@ -54,10 +56,11 @@ class TestActivations:
             v[:] = np.nan
         elif fill == "empty":
             v = v[:0]
+        bound = np.abs(v).max(initial=0.0) if bounded else math.inf
         expected = np.clip(np.tanh(v), -ONE_BELOW, ONE_BELOW)
-        assert tanh_act(v).tobytes() == expected.tobytes()
+        assert tanh_act(v, bound=bound).tobytes() == expected.tobytes()
         buf = v.copy()
-        assert tanh_act(buf, out=buf).tobytes() == expected.tobytes()
+        assert tanh_act(buf, out=buf, bound=bound).tobytes() == expected.tobytes()
 
     def test_sigmoid_zero_is_half(self):
         assert sigmoid_act(np.array([0.0])).tolist() == [0.5]
@@ -84,6 +87,21 @@ class TestActivations:
         v = np.linspace(-6, 6, 100)
         assert np.all(np.diff(tanh_act(v)) > 0)
         assert np.all(np.diff(sigmoid_act(v)) > 0)
+
+    # Within its radius an activation skips its saturation handling, which
+    # changes no bit only while the formula itself stays inside the open
+    # interval there. That depends on the running CPU's numpy kernels, so it
+    # is checked here on a dense sweep, at the radius, one float inside it,
+    # and a little beyond it, for a bound that rounds a few ulps low.
+    @pytest.mark.parametrize("act, radius, low", [(tanh_act, _TANH_RADIUS, -1.0),
+                                                  (sigmoid_act, _SIGMOID_RADIUS, 0.0)],
+                             ids=["tanh", "sigmoid"])
+    def test_formula_stays_inside_its_interval_within_the_radius(self, act, radius, low):
+        edges = np.array([radius, np.nextafter(radius, 0.0), radius * (1.0 + 2.0**-40)])
+        v = np.concatenate([np.linspace(-radius, radius, 1_000_001), edges, -edges])
+        unclipped = act(v, bound=0.0)
+        assert np.all(unclipped > low) and np.all(unclipped < 1.0)
+        assert unclipped.tobytes() == act(v).tobytes()
 
 
 class TestColumnStats:
