@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import N_STATIONS, atomic_write, csv_lead, format_rows, landfall_window
 from .errors import DimensionMismatchError, DomainError, TrackValidationError
-from .network import forward_batch
+from .network import forward_batch, layer_operands
 
 # Report columns derived from the error distribution.
 TIGHT_BOUND_M = 0.10
@@ -74,9 +74,9 @@ def location_metrics(preds, obs) -> list:
     ]
 
 
-def predict_track(net, normalizer, track) -> np.ndarray:
-    """Surge predictions (193, 10) for one track; handles normalization."""
-    return forward_batch(net, normalizer.apply(track.inputs))[0]
+def predict_track(net, normalizer, track, operands=None) -> np.ndarray:
+    """Surge predictions (193, 10) of one track's raw inputs; operands as in forward_batch."""
+    return forward_batch(net, normalizer.apply(track.inputs), operands=operands)[0]
 
 
 def pool_errors(series, window_days=None) -> list:
@@ -221,7 +221,8 @@ def evaluate_tracks(net, normalizer, tracks, label, window_days=0.5) -> Evaluati
     tracks = list(tracks)
     if not tracks:
         raise TrackValidationError(f"no tracks in population {label!r:.40}")
-    series = [(tr, predict_track(net, normalizer, tr)) for tr in tracks]
+    operands = layer_operands(net, max(len(tr.inputs) for tr in tracks))
+    series = [(tr, predict_track(net, normalizer, tr, operands)) for tr in tracks]
     preds = np.concatenate([p for _, p in series])
     obs = np.concatenate([tr.surge for tr, _ in series])
     # Densities first: fit_kde names the station whose errors would overflow the metrics.

@@ -62,25 +62,43 @@ class Architecture:
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
 
-@dataclass
-class NetworkParams:
-    """Weights and biases, ordered as arch.layer_dims().
+def layer_views(flat: np.ndarray, arch: Architecture) -> tuple:
+    """(w, b) views of flat, laid out as NetworkParams.flat, one pair per
+    layer of arch."""
+    views, lo = [], 0
+    for rows, cols in arch.layer_dims():
+        mid = lo + rows * cols
+        views.append((flat[lo:mid].reshape(rows, cols), flat[mid:mid + rows]))
+        lo = mid + rows
+    return tuple(views)
 
-    layers[i] is a (weights, bias) pair with weights shaped (rows, cols) and
-    bias shaped (rows,).
+
+@dataclass(frozen=True)
+class NetworkParams:
+    """Weights and biases in one float64 vector, flat: per layer of
+    arch.layer_dims(), its (rows, cols) weights row-major, then its (rows,)
+    bias. Gradients and ADAM moments share this layout. layers[i] is layer
+    i's (weights, bias) pair of views of flat; neither field can be rebound.
     """
 
     arch: Architecture
-    layers: list
+    flat: np.ndarray
+    layers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", layer_views(self.flat, self.arch))
+
+    @classmethod
+    def from_layers(cls, arch: Architecture, pairs) -> "NetworkParams":
+        """Parameters holding copies of (weights, bias) pairs, one per layer."""
+        return cls(arch, np.concatenate([np.ravel(a) for pair in pairs for a in pair]))
 
 
 def init_network(arch: Architecture, rng: numerics.Rng) -> NetworkParams:
     """Fresh parameters: weights ~ Normal(0, 1/sqrt(fan_in)), biases zero."""
-    layers = []
-    for rows, cols in arch.layer_dims():
-        w = rng.normal(0.0, 1.0 / math.sqrt(cols), size=(rows, cols))
-        layers.append((w, np.zeros(rows)))
-    return NetworkParams(arch, layers)
+    return NetworkParams.from_layers(arch, [
+        (rng.normal(0.0, 1.0 / math.sqrt(cols), size=(rows, cols)), np.zeros(rows))
+        for rows, cols in arch.layer_dims()])
 
 
 def layer_operands(net: NetworkParams, rows: int, out=None) -> list:
@@ -216,9 +234,8 @@ class Checkpoint:
 
 def save_checkpoint(net: NetworkParams, normalizer, meta: CheckpointMeta, path) -> None:
     """Write a version-tagged JSON checkpoint; floats keep their exact value."""
-    for w, b in net.layers:
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise DomainError("refusing to save non-finite parameters")
+    if not np.isfinite(net.flat).all():
+        raise DomainError("refusing to save non-finite parameters")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "arch": dataclasses.asdict(net.arch),
@@ -298,14 +315,14 @@ def load_checkpoint(path) -> Checkpoint:
                 ckpt = _checkpoint_from(_parse(data))
         except ConfigError as exc:  # a stored value its dataclass or check_value refused
             raise CheckpointFormatError(*exc.args) from None
-        for array in (*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
-                      ckpt.normalizer.stds, ckpt.normalizer.constant_flags):
+        for array in (ckpt.net.flat, ckpt.normalizer.means, ckpt.normalizer.stds,
+                      ckpt.normalizer.constant_flags):
             array.setflags(write=False)
+        ckpt.net = NetworkParams(ckpt.net.arch, ckpt.net.flat)  # views of the read-only flat
         _last_loaded = (data, ckpt)
-    # New containers, so a caller that rebinds a field does not change the
-    # next caller's checkpoint.
-    return Checkpoint(NetworkParams(ckpt.net.arch, list(ckpt.net.layers)), ckpt.normalizer,
-                      ckpt.meta)
+    # A new container, so a caller that rebinds a field does not change the
+    # next caller's checkpoint; what it holds cannot change.
+    return Checkpoint(ckpt.net, ckpt.normalizer, ckpt.meta)
 
 
 def _parse(data: bytes):
@@ -351,10 +368,11 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
                 f"{where}: architecture implies shape {(rows, cols)!r:.18}, "
                 f"file stores {stored!r:.18}")
         w = _field(raw, "weights", where, float, rows * cols)
-        layers.append((w.reshape(rows, cols), _field(raw, "bias", where, float, rows)))
+        layers.append((w, _field(raw, "bias", where, float, rows)))
 
     meta = _dataclass(payload, "meta", CheckpointMeta)
-    return Checkpoint(NetworkParams(arch, layers), Normalizer(means, stds, flags), meta)
+    return Checkpoint(NetworkParams.from_layers(arch, layers), Normalizer(means, stds, flags),
+                      meta)
 
 
 def _dataclass(payload: dict, key: str, cls):

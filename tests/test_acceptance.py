@@ -161,8 +161,7 @@ def test_02_parallel_gradient_equivalence(ci_corpus):
             _, ref = _parallel_loss_grads(net, x, t, 1, executors[1])
             for workers in (2, 3, 4, 8):
                 _, got = _parallel_loss_grads(net, x, t, workers, executors[workers])
-                for (rw, rb), (gw, gb) in zip(ref, got):
-                    worst = max(worst, np.abs(rw - gw).max(), np.abs(rb - gb).max())
+                worst = max(worst, np.abs(ref - got).max())
     finally:
         for executor in executors.values():
             executor.shutdown()
@@ -273,13 +272,12 @@ def test_07_adam_sanity():
     """The optimizer solves (theta - 3)^2 from a standing start."""
     arch = Architecture(1, (1,), 1)
     net = init_network(arch, Rng(0))
-    net = type(net)(arch, [(np.zeros_like(w), np.zeros_like(b))
-                           for w, b in net.layers])
+    net = type(net)(arch, np.zeros_like(net.flat))
     cfg = TrainConfig(arch=arch, epochs=1, learning_rate=0.1)
     state = AdamState.zeros(net)
     steps = 0
     for steps in range(1, 2001):
-        grads = [(2.0 * (w - 3.0), 2.0 * (b - 3.0)) for w, b in net.layers]
+        grads = 2.0 * (net.flat - 3.0)
         net, state = adam_step(net, grads, state, 0.1, cfg)
         gap = max(max(np.abs(w - 3.0).max(), np.abs(b - 3.0).max())
                   for w, b in net.layers)

@@ -253,8 +253,8 @@ class TestEvaluate:
     def test_overflowing_predictions_name_the_station(self, tmp_path, workspace, capsys):
         # Squaring errors this large overflows; fit_kde refuses them first.
         net = init_network(Architecture(6, (8,), 10), Rng(1))
-        w, b = net.layers[-1]
-        net.layers[-1] = (w * 1e200, b)
+        w, _ = net.layers[-1]
+        w *= 1e200
         save_checkpoint(net, Normalizer(np.zeros(6), np.ones(6), np.zeros(6, bool)),
                         CheckpointMeta(1, 1, 0.5), tmp_path / "huge.json")
         code, _, stderr = run(capsys, "evaluate", "--corpus", str(workspace / "corpus"),
@@ -271,7 +271,7 @@ class TestEvaluate:
         ckpt = load_checkpoint(workspace / "model.json")
         w, b = (a.copy() for a in ckpt.net.layers[-1])
         w[station], b[station] = 0.0, 0.0
-        net = NetworkParams(ckpt.net.arch, [*ckpt.net.layers[:-1], (w, b)])
+        net = NetworkParams.from_layers(ckpt.net.arch, [*ckpt.net.layers[:-1], (w, b)])
         save_checkpoint(net, ckpt.normalizer, ckpt.meta, tmp_path / "flat.json")
         code, stdout, _ = run(capsys, "evaluate", "--corpus", str(workspace / "corpus"),
                               "--checkpoint", str(tmp_path / "flat.json"),
@@ -396,7 +396,7 @@ class TestPredict:
 
         w, b = old.net.layers[-1]
         flipped = (w.ravel()[::-1].reshape(w.shape), b)
-        new = NetworkParams(old.net.arch, [*old.net.layers[:-1], flipped])
+        new = NetworkParams.from_layers(old.net.arch, [*old.net.layers[:-1], flipped])
         inputs = dataset.interpolate_to_grid(dataset.read_input_series(track))
         expected, _ = forward_batch(new, old.normalizer.apply(inputs))
         with open(tmp_path / "b.csv", newline="") as fh:

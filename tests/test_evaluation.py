@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgenet import evaluation
+from surgenet import evaluation, network
 from surgenet.dataset import default_oracle, generate_track
 from surgenet.errors import DimensionMismatchError, DomainError
 from surgenet.evaluation import (
@@ -371,13 +371,28 @@ class TestEvaluateAndReport:
         net, normalizer, tracks = untrained
         calls = []
 
-        def counting(net, normalizer, track):
+        def counting(net, normalizer, track, operands=None):
             calls.append(track.track_id)
-            return predict_track(net, normalizer, track)
+            return predict_track(net, normalizer, track, operands)
 
         monkeypatch.setattr(evaluation, "predict_track", counting)
         evaluate_tracks(net, normalizer, tracks, label="test")
         assert calls == [t.track_id for t in tracks]
+
+    def test_layer_operands_built_once_per_population(self, untrained, monkeypatch):
+        # Every track runs through one operand set, sized to the longest
+        # track, instead of one built per track.
+        net, normalizer, tracks = untrained
+        build, calls = network.layer_operands, []
+
+        def counting(net, rows, out=None):
+            calls.append(rows)
+            return build(net, rows, out)
+
+        monkeypatch.setattr(network, "layer_operands", counting)
+        monkeypatch.setattr(evaluation, "layer_operands", counting)
+        evaluate_tracks(net, normalizer, tracks, label="test")
+        assert calls == [193]
 
     def test_pools_match_pool_errors(self, result, untrained):
         net, normalizer, tracks = untrained

@@ -114,16 +114,16 @@ class TestInit:
 class TestForward:
     def test_zero_network_tanh(self):
         net = small_net()
-        zeroed = NetworkParams(net.arch, [(np.zeros_like(w), np.zeros_like(b))
-                                          for w, b in net.layers])
+        zeroed = NetworkParams.from_layers(net.arch, [(np.zeros_like(w), np.zeros_like(b))
+                                                      for w, b in net.layers])
         y, hidden = forward_batch(zeroed, np.ones((1, 6)))
         assert np.all(y == 0.0)
         assert np.all(hidden[0] == 0.0)  # tanh(0)
 
     def test_zero_network_sigmoid(self):
         net = small_net(activation="sigmoid")
-        zeroed = NetworkParams(net.arch, [(np.zeros_like(w), np.zeros_like(b))
-                                          for w, b in net.layers])
+        zeroed = NetworkParams.from_layers(net.arch, [(np.zeros_like(w), np.zeros_like(b))
+                                                      for w, b in net.layers])
         _, hidden = forward_batch(zeroed, np.ones((1, 6)))
         assert np.all(hidden[0] == 0.5)  # sigmoid(0)
 
@@ -131,7 +131,7 @@ class TestForward:
         net = small_net()
         w_o = np.zeros_like(net.layers[-1][0])
         b_o = np.arange(10.0)
-        rigged = NetworkParams(net.arch, [
+        rigged = NetworkParams.from_layers(net.arch, [
             (np.zeros_like(net.layers[0][0]), np.zeros_like(net.layers[0][1])),
             (w_o, b_o),
         ])
@@ -157,7 +157,7 @@ class TestForward:
         x = Rng(4).normal(size=6)
         w_o, b_o = net.layers[-1]
         y1, _ = forward_batch(net, x[None, :])
-        doubled = NetworkParams(net.arch, net.layers[:-1] + [(2.0 * w_o, 2.0 * b_o)])
+        doubled = NetworkParams.from_layers(net.arch, [*net.layers[:-1], (2.0 * w_o, 2.0 * b_o)])
         y2, _ = forward_batch(doubled, x[None, :])
         np.testing.assert_allclose(y2, 2.0 * y1, rtol=1e-12)
 
@@ -231,7 +231,7 @@ class TestCheckpoint:
             assert a is b
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
-        first.net.layers.clear()  # the next caller still gets every layer
+        first.net = None  # the next caller still gets every layer
         assert len(load_checkpoint(path).net.layers) == 3
 
     def test_truncated_file_is_a_parse_error(self, saved):
@@ -337,7 +337,7 @@ class TestCheckpoint:
 
     def test_saving_non_finite_parameters_refused(self, saved, tmp_path):
         net, norm, meta, _ = saved
-        bad = NetworkParams(net.arch, [(w.copy(), b.copy()) for w, b in net.layers])
+        bad = NetworkParams.from_layers(net.arch, net.layers)
         bad.layers[0][0][0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             save_checkpoint(bad, norm, meta, tmp_path / "bad.json")
@@ -431,7 +431,7 @@ class TestCheckpointFuzz:
         meta = CheckpointMeta(data.draw(st.integers(-2**63, 2**64)),
                               data.draw(st.integers(0, 10**9)), data.draw(finite))
         path = tmp_path_factory.mktemp("round") / "ck.json"
-        save_checkpoint(NetworkParams(arch, layers), norm, meta, path)
+        save_checkpoint(NetworkParams.from_layers(arch, layers), norm, meta, path)
         loaded = load_checkpoint(path)
         assert loaded.net.arch == arch
         saved = [a for pair in layers for a in pair] + [norm.means, norm.stds]

@@ -28,6 +28,7 @@ from surgenet.network import (
     forward_batch,
     init_network,
     layer_operands,
+    layer_views,
     save_checkpoint,
 )
 from surgenet.numerics import _TANH_RADIUS, Rng
@@ -66,8 +67,7 @@ def make_split(n_train, n_val=2, n_test=2, seed=0):
 
 def zero_net(arch):
     net = init_network(arch, Rng(0))
-    return NetworkParams(arch, [(np.zeros_like(w), np.zeros_like(b))
-                                for w, b in net.layers])
+    return NetworkParams(arch, np.zeros_like(net.flat))
 
 
 def stacked(tracks):
@@ -84,6 +84,12 @@ def draw_batch(rng, data, batch_tracks):
 def grads_like(net):
     """Fresh (gw, gb) arrays shaped like net.layers, for _batch_backprop."""
     return [(np.empty_like(w), np.empty_like(b)) for w, b in net.layers]
+
+
+def flat_of(pairs):
+    """Per-layer (weights, bias)-shaped pairs as one vector laid out as
+    NetworkParams.flat."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
 
 
 def row_backprop(net, x, t):
@@ -189,14 +195,53 @@ class TestBackprop:
         assert math.isclose(batch_loss, float(np.mean(losses)), rel_tol=1e-12)
 
 
+def _reference_adam_step(layers, grads, m, v, t, lr, cfg):
+    """The optimizer written per layer and per array, one expression for each
+    moment and parameter: the reference that adam_step's one update on flat
+    vectors matches bit for bit. Returns the new (layers, m, v) of step t."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    new_layers, new_m, new_v = [], [], []
+    for pair, g_pair, m_pair, v_pair in zip(layers, grads, m, v):
+        ms = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m_pair, g_pair)]
+        vs = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v_pair, g_pair)]
+        new_layers.append(tuple(p - lr * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.adam_eps)
+                                for p, mi, vi in zip(pair, ms, vs)))
+        new_m.append(tuple(ms))
+        new_v.append(tuple(vs))
+    return new_layers, new_m, new_v
+
+
 class TestAdam:
     def cfg(self, **kw):
         return TrainConfig(arch=Architecture(6, (4,), 10), epochs=1, **kw)
 
+    @pytest.mark.parametrize("hidden", [(32, 64), (16,)])
+    def test_flat_update_matches_per_layer_reference_bit_for_bit(self, hidden):
+        arch = Architecture(6, hidden, 10, "tanh")
+        cfg = self.cfg()
+        net = init_network(arch, Rng(80))
+        state = AdamState.zeros(net)
+        layers = [(w.copy(), b.copy()) for w, b in net.layers]
+        m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        draws = Rng(81)
+        for step in range(1, 61):
+            # Both signs, magnitudes spread over 10 decades.
+            g = draws.normal(size=net.flat.shape)
+            g *= 10.0 ** draws.uniform(-5, 5, size=g.shape)
+            lr = cfg.learning_rate * cfg.lr_decay ** (step - 1)
+            net, state = adam_step(net, g, state, lr, cfg)
+            layers, m, v = _reference_adam_step(layers, layer_views(g, arch), m, v, step,
+                                                lr, cfg)
+            assert state.t == step
+            for got, want in ((net.flat, layers), (state.m, m), (state.v, v)):
+                assert got.tobytes() == flat_of(want).tobytes()
+
     def test_zero_gradient_leaves_parameters_unchanged(self):
         net = init_network(Architecture(6, (4,), 10), Rng(1))
         state = AdamState.zeros(net)
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in net.layers]
+        zero = np.zeros_like(net.flat)
         new_net, new_state = adam_step(net, zero, state, 0.01, self.cfg())
         assert max_layer_diff(net.layers, new_net.layers) == 0.0
         assert new_state.t == 1
@@ -206,7 +251,7 @@ class TestAdam:
         state = AdamState.zeros(net)
         _, grads = row_backprop(net, Rng(3).normal(size=6), Rng(4).normal(size=10))
         lr = 0.01
-        new_net, _ = adam_step(net, grads, state, lr, self.cfg())
+        new_net, _ = adam_step(net, flat_of(grads), state, lr, self.cfg())
         assert max_layer_diff(net.layers, new_net.layers) <= lr
 
     def test_inputs_not_mutated(self):
@@ -214,19 +259,19 @@ class TestAdam:
         before = [(w.copy(), b.copy()) for w, b in net.layers]
         state = AdamState.zeros(net)
         _, grads = row_backprop(net, Rng(6).normal(size=6), Rng(7).normal(size=10))
-        adam_step(net, grads, state, 0.01, self.cfg())
+        adam_step(net, flat_of(grads), state, 0.01, self.cfg())
         assert max_layer_diff(net.layers, before) == 0.0
         assert state.t == 0
 
     def test_converges_on_quadratic(self):
         # Minimize sum(theta^2) by feeding the optimizer its exact gradient.
         arch = Architecture(1, (1,), 1)
-        net = NetworkParams(arch, [(np.ones((1, 1)), np.ones(1)),
-                                   (np.ones((1, 1)), np.ones(1))])
+        net = NetworkParams.from_layers(arch, [(np.ones((1, 1)), np.ones(1)),
+                                               (np.ones((1, 1)), np.ones(1))])
         state = AdamState.zeros(net)
         cfg = self.cfg(learning_rate=0.05)
         for _ in range(2000):
-            grads = [(2.0 * w, 2.0 * b) for w, b in net.layers]
+            grads = 2.0 * net.flat
             net, state = adam_step(net, grads, state, cfg.learning_rate, cfg)
         worst = max(max(np.abs(w).max(), np.abs(b).max()) for w, b in net.layers)
         assert worst < 1e-3
@@ -299,7 +344,7 @@ class TestParallelGradient:
         for workers in (2, 3, 4, 8):
             loss, got = sharded_loss_grads(net, x, t, workers)
             assert loss == ref_loss
-            assert max_layer_diff(ref, got) == 0.0
+            assert max_layer_diff(layer_views(ref, net.arch), layer_views(got, net.arch)) == 0.0
 
     # numpy warns of the diverging run's overflow on the pool threads, where
     # an np.errstate here does not reach.
@@ -644,7 +689,7 @@ class TestBufferedStep:
         for workers in (1, 2):
             loss, grads = sharded_loss_grads(net, x, t, workers)
             assert loss == expected_loss
-            assert_same_grads(grads, expected)
+            assert_same_grads(layer_views(grads, arch), expected)
 
     # 23 tracks are 4439 rows: 2 shards of 494 rows and 7 of 493, run on 1,
     # 2 and 4 threads, so every thread reuses its buffers from shard to shard.
@@ -658,15 +703,15 @@ class TestBufferedStep:
             first = random_batch(arch, 23, 33)
             second = random_batch(arch, 23, 35, scale=5.0)
             loss1, grads1 = _parallel_loss_grads(net, *first, workers, executor)
-            kept = [(gw.copy(), gb.copy()) for gw, gb in grads1]
+            kept = grads1.copy()
             loss2, grads2 = _parallel_loss_grads(net, *second, workers, executor)
         finally:
             executor.shutdown()
-        assert_same_grads(grads1, kept)
+        assert_same_grads(layer_views(grads1, arch), layer_views(kept, arch))
         for (loss, grads), batch in (((loss1, grads1), first), ((loss2, grads2), second)):
             expected_loss, expected = _reference_loss_grads(net, *batch)
             assert loss == expected_loss
-            assert_same_grads(grads, expected)
+            assert_same_grads(layer_views(grads, arch), expected)
 
     def test_threads_never_share_a_scratch_set(self):
         # 8 threads on the default batch's 13 shards, switching as often as
@@ -683,7 +728,7 @@ class TestBufferedStep:
             for _ in range(5):
                 loss, grads = _parallel_loss_grads(net, x, t, 8, executor)
                 assert loss == expected_loss
-                assert_same_grads(grads, expected)
+                assert_same_grads(layer_views(grads, arch), expected)
         finally:
             sys.setswitchinterval(interval)
             executor.shutdown()
@@ -719,7 +764,7 @@ class TestBufferedStep:
             t = np.concatenate([tracks[i].surge for i in idx])
             loss, grads = _reference_loss_grads(net, x, t)
             assert row.train_mse == loss
-            net, state = adam_step(net, grads, state, row.lr, cfg)
+            net, state = adam_step(net, flat_of(grads), state, row.lr, cfg)
             if row.val_mse is not None:
                 val = _reference_dataset_mse(net, val_x, val_t, tile)
                 assert row.val_mse == val
@@ -774,9 +819,8 @@ class TestBufferedStep:
                 acc += row
         acc *= 1.0 / (32 * 193)
         assert loss == expected_loss / (32 * 193)
-        flat = np.concatenate([a.ravel() for layer in grads for a in layer])
-        assert flat.tobytes() == acc.tobytes()
-        assert all(not np.shares_memory(a, executor.grads) for layer in grads for a in layer)
+        assert grads.tobytes() == acc.tobytes()
+        assert not np.shares_memory(grads, executor.grads)
 
 
 class TestSaturationBound:
@@ -806,8 +850,8 @@ class TestSaturationBound:
                                                                weight_scale, bias):
         arch = Architecture(6, (32, 64), 10)
         net = init_network(arch, Rng(70))
-        net = NetworkParams(arch, [(w * weight_scale, np.full_like(b, bias))
-                                   for w, b in net.layers])
+        net = NetworkParams.from_layers(arch, [(w * weight_scale, np.full_like(b, bias))
+                                               for w, b in net.layers])
         x, t = random_batch(arch, 32, 71)
         calls = self.spy(monkeypatch)
         sharded_loss_grads(net, x, t, 1)
@@ -903,9 +947,9 @@ class TestStepAllocation:
         # these shapes. The buffered one writes every shard's gradients into
         # the executor's stack and allocates only small temporaries (each
         # block's |x|, each layer's |w|), the reduced gradients and the
-        # optimizer's new parameters: a peak of 0.116 MB with 1 and with 2
-        # workers, so the bound leaves about 70% headroom. The warm-up step
-        # makes the buffers, the stack and the layer operands.
+        # optimizer's new parameters and moments: a peak of 0.122 MB with 1
+        # and with 2 workers, so the bound leaves about 64% headroom. The
+        # warm-up step makes the buffers, the stack and the layer operands.
         arch = Architecture(6, (32, 64), 10)
         cfg = TrainConfig(arch=arch, epochs=1)
         data = (Rng(40).normal(size=(40, 193, 6)), Rng(41).normal(size=(40, 193, 10)))
