@@ -96,17 +96,35 @@ def _build_oracle(raw) -> OracleParams:
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads exponent floats without a dot, such as 1e-3,
-    as floats (YAML 1.2 core schema); YAML 1.1 would read them as strings."""
+    """SafeLoader that reads numbers as the YAML 1.2 core schema does: an
+    exponent float without a dot, such as 1e-3, is a float, and an integer
+    is decimal, so 010 is 10; YAML 1.1 would read 1e-3 as text, 010 as octal
+    8 and 1:30 as 90. A value no constructor can read is a ConstructorError
+    that names its line and column."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep=deep)
+        except (ValueError, KeyError, AttributeError):
+            # KeyError for !!bool x, AttributeError for !!timestamp x, ValueError for 5000 digits
+            kind = node.tag.rpartition(":")[2]
+            raise yaml.constructor.ConstructorError(
+                None, None, f"invalid {kind} {node.value!r:.40}", node.start_mark) from None
+
+    def construct_decimal_int(self, node):
+        """A decimal integer, "_" allowed; any other integer form (0x10,
+        0o17, 0b11, 1:30) stays text, for check_value to refuse."""
+        text = self.construct_scalar(node)
+        return int(text.replace("_", "")) if re.fullmatch(r"[-+]?[0-9][0-9_]*", text) else text
 
 
 _ConfigLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
     list("-+0123456789."))
-# What yaml.load raises for text it cannot read: ValueError for a 5000-digit integer,
-# KeyError for !!bool x, AttributeError for !!timestamp x, RecursionError for deep nesting.
-_UNREADABLE = (yaml.YAMLError, ValueError, KeyError, AttributeError, RecursionError)
+_ConfigLoader.add_constructor("tag:yaml.org,2002:int", _ConfigLoader.construct_decimal_int)
+# What yaml.load raises for text it cannot read; RecursionError for deep nesting.
+_UNREADABLE = (yaml.YAMLError, RecursionError)
 
 
 def load_config_file(path) -> dict:
@@ -115,7 +133,7 @@ def load_config_file(path) -> dict:
     with named(Path(path).name):
         try:
             raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_ConfigLoader)
-        except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8 text ({exc.reason})") from None
         except _UNREADABLE as exc:
             mark = getattr(exc, "problem_mark", None)
@@ -207,9 +225,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.track:
         raise ConfigError("predict needs --track (or the 'track' config key)")
     ckpt = load_checkpoint(cfg.checkpoint)
-    raw = dataset.read_input_series(cfg.track)  # names its file itself
-    with named(Path(cfg.track).name):
-        inputs = dataset.interpolate_to_grid(raw)
+    inputs = dataset.read_input_series(cfg.track)
     preds, _ = forward_batch(ckpt.net, ckpt.normalizer.apply(inputs))
     out = Path(cfg.prediction)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -145,11 +145,6 @@ def validate_track(track: StormTrack) -> None:
     _check_input_ranges(track.inputs)
 
 
-def _check_has_rows(block: np.ndarray) -> None:
-    if len(block) == 0:
-        raise RowCountError("no data rows")
-
-
 def _check_input_ranges(inputs: np.ndarray) -> None:
     """Check (n, 6) input rows: rmax_km > 0, vmax_ms >= 0 and fspeed_ms >= 0.
     The first violation raises FieldRangeError naming its row and column."""
@@ -481,7 +476,8 @@ def interpolate_to_grid(raw_inputs) -> np.ndarray:
     """
     x = np.asarray(raw_inputs, dtype=np.float64)
     _check_block(x, INPUT_COLUMNS)
-    _check_has_rows(x)
+    if len(x) == 0:
+        raise RowCountError("no data rows")
     order = np.argsort(x[:, 0], kind="stable")
     repeats = order[1:][np.diff(x[order, 0]) == 0]  # rows whose tau an earlier row has
     if repeats.size:
@@ -497,9 +493,10 @@ def interpolate_to_grid(raw_inputs) -> np.ndarray:
 
 
 def read_input_series(path) -> np.ndarray:
-    """Read prediction inputs: a CSV with at least the six input columns by
-    name; surge and other extra columns are ignored. Rows must pass
-    _check_input_ranges. A refusal's message starts with the file's name."""
+    """Read prediction inputs onto the tau grid: a CSV with at least the six
+    input columns by name, whose rows must pass _check_input_ranges and then
+    interpolate_to_grid; surge and other extra columns are ignored. Returns
+    the (193, 6) grid block. A refusal's message starts with the file's name."""
     path = Path(path)
     with named(path.name):
         header, lines = _read_csv(path)
@@ -507,9 +504,8 @@ def read_input_series(path) -> np.ndarray:
         if missing:
             raise ColumnSchemaError(f"missing input columns {missing}")
         rows = _float_rows(lines, header, INPUT_COLUMNS)
-        _check_has_rows(rows)
         _check_input_ranges(rows)
-    return rows
+        return interpolate_to_grid(rows)
 
 
 MANIFEST_NAME = "manifest.csv"

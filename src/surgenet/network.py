@@ -223,7 +223,7 @@ class CheckpointMeta:
             object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     """A trained network plus the normalizer its inputs require."""
 
@@ -304,7 +304,8 @@ def load_checkpoint(path) -> Checkpoint:
     starts with the file's name.
 
     A file whose bytes equal the last file that loaded is not parsed again:
-    its arrays are shared between the calls, so they are read-only."""
+    the calls return the same Checkpoint, which is frozen and whose arrays
+    are read-only."""
     global _last_loaded
     path = Path(path)
     data = path.read_bytes()
@@ -315,14 +316,8 @@ def load_checkpoint(path) -> Checkpoint:
                 ckpt = _checkpoint_from(_parse(data))
         except ConfigError as exc:  # a stored value its dataclass or check_value refused
             raise CheckpointFormatError(*exc.args) from None
-        for array in (ckpt.net.flat, ckpt.normalizer.means, ckpt.normalizer.stds,
-                      ckpt.normalizer.constant_flags):
-            array.setflags(write=False)
-        ckpt.net = NetworkParams(ckpt.net.arch, ckpt.net.flat)  # views of the read-only flat
         _last_loaded = (data, ckpt)
-    # A new container, so a caller that rebinds a field does not change the
-    # next caller's checkpoint; what it holds cannot change.
-    return Checkpoint(ckpt.net, ckpt.normalizer, ckpt.meta)
+    return ckpt
 
 
 def _parse(data: bytes):
@@ -359,7 +354,7 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
 
     dims = arch.layer_dims()
     raw_layers = _field(payload, "layers", "", dict, len(dims))
-    layers = []
+    parts = []  # each layer's weights, then its bias, as NetworkParams.flat lays them out
     for i, (raw, (rows, cols)) in enumerate(zip(raw_layers, dims)):
         where = f"layers[{i}]"
         stored = (_field(raw, "rows", where, int), _field(raw, "cols", where, int))
@@ -367,12 +362,14 @@ def _checkpoint_from(payload: dict) -> Checkpoint:
             raise CheckpointDimensionError(  # two echoed values, 18 characters each
                 f"{where}: architecture implies shape {(rows, cols)!r:.18}, "
                 f"file stores {stored!r:.18}")
-        w = _field(raw, "weights", where, float, rows * cols)
-        layers.append((w, _field(raw, "bias", where, float, rows)))
+        parts += (_field(raw, "weights", where, float, rows * cols),
+                  _field(raw, "bias", where, float, rows))
 
     meta = _dataclass(payload, "meta", CheckpointMeta)
-    return Checkpoint(NetworkParams.from_layers(arch, layers), Normalizer(means, stds, flags),
-                      meta)
+    flat = np.concatenate(parts)
+    for array in (flat, means, stds, flags):  # before NetworkParams views flat
+        array.setflags(write=False)
+    return Checkpoint(NetworkParams(arch, flat), Normalizer(means, stds, flags), meta)
 
 
 def _dataclass(payload: dict, key: str, cls):

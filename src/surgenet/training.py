@@ -345,13 +345,12 @@ def train(cfg: TrainConfig, split, progress=None) -> tuple:
 
     raw_inputs = np.stack([tr.inputs for tr in tracks])
     normalizer = fit_normalizer(raw_inputs.reshape(-1, raw_inputs.shape[-1]))
-    data = (normalizer.apply(raw_inputs),
-            np.stack([np.asarray(tr.surge, dtype=np.float64) for tr in tracks]))
+    data = (normalizer.apply(raw_inputs), np.stack([tr.surge for tr in tracks]))
 
     val_x = val_t = None
     if cfg.validation_every and split.validation:
         val_x = normalizer.apply(np.concatenate([tr.inputs for tr in split.validation]))
-        val_t = np.concatenate([np.asarray(tr.surge) for tr in split.validation])
+        val_t = np.concatenate([tr.surge for tr in split.validation])
 
     root = Rng(cfg.seed)
     net = init_network(cfg.arch, root.child(0))

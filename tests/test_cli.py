@@ -189,6 +189,46 @@ class TestTrain:
         with open(tmp_path / "m_history.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 8  # header + the 7 flag epochs
 
+    def test_manifest_without_training_rows_fails(self, tmp_path, workspace):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        rows = read_manifest(corpus / "manifest.csv")
+        dataset.write_manifest([(i, f, "val" if s == "train" else s) for i, f, s in rows],
+                               corpus / "manifest.csv")
+        out = tmp_path / "m.json"
+        assert run_quietly(["train", "--corpus", str(corpus), "--out", str(out)]) == (
+            1, "error: training split is empty\n")
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_workers_write_the_same_bytes(self, tmp_path, workspace):
+        # 3 tracks of 193 rows are 2 shards, so 2 workers run one each.
+        args = ["train", "--corpus", str(workspace / "corpus"), "--seed", "12", "--hidden", "8",
+                "--epochs", "20", "--batch-tracks", "3", "--validation-every", "5"]
+        for workers in ("1", "2"):
+            assert run_quietly([*args, "--workers", workers,
+                                "--out", str(tmp_path / f"w{workers}.json")]) == (0, "")
+        for one, two in (("w1.json", "w2.json"), ("w1_history.csv", "w2_history.csv")):
+            assert (tmp_path / one).read_bytes() == (tmp_path / two).read_bytes()
+
+    def test_sigmoid_net_trains_evaluates_and_predicts(self, tmp_path, workspace):
+        corpus, model = workspace / "corpus", tmp_path / "m.json"
+        assert run_quietly(["train", "--corpus", str(corpus), "--seed", "3",
+                            "--activation", "sigmoid", "--hidden", "8", "--epochs", "20",
+                            "--batch-tracks", "4", "--validation-every", "10",
+                            "--out", str(model)]) == (0, "")
+        assert load_checkpoint(model).net.arch.activation == "sigmoid"
+        assert run_quietly(["evaluate", "--corpus", str(corpus), "--checkpoint", str(model),
+                            "--split", "all", "--out", str(tmp_path / "reports")]) == (0, "")
+        assert run_quietly(["predict", "--checkpoint", str(model),
+                            "--track", str(corpus / "track_0001.csv"),
+                            "--out", str(tmp_path / "p.csv")]) == (0, "")
+        for path, lead in ((tmp_path / "reports" / "metrics_all.csv", 0),
+                           (tmp_path / "reports" / "timeseries_all.csv", 1),
+                           (tmp_path / "p.csv", 0)):
+            with open(path, newline="") as fh:
+                values = [[float(v) for v in row[lead:]] for row in list(csv.reader(fh))[1:]]
+            assert values and np.isfinite(values).all()
+
 
 class TestEvaluate:
     def test_writes_reports(self, tmp_path, workspace, capsys):
@@ -397,8 +437,7 @@ class TestPredict:
         w, b = old.net.layers[-1]
         flipped = (w.ravel()[::-1].reshape(w.shape), b)
         new = NetworkParams.from_layers(old.net.arch, [*old.net.layers[:-1], flipped])
-        inputs = dataset.interpolate_to_grid(dataset.read_input_series(track))
-        expected, _ = forward_batch(new, old.normalizer.apply(inputs))
+        expected, _ = forward_batch(new, old.normalizer.apply(dataset.read_input_series(track)))
         with open(tmp_path / "b.csv", newline="") as fh:
             got = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]])
         assert got.tobytes() == expected.tobytes()
@@ -476,6 +515,7 @@ class TestDamagedCheckpoint:
         (("layers", 0, "weights"), [[0.5, 1.0], [2.0]],
          "layers[0].weights holds [0.5, 1.0], not a finite number"),
         (("layers", 0, "weights"), [0.5] * 47, "layers[0].weights must hold 48 values, got 47"),
+        (("layers", 0, "weights", 0), 10 ** 399, "layers[0].weights must be finite"),
         (("normalizer", "stds", 0), 0, "normalizer.stds must be > 0, got 0.0"),
         (("normalizer", "stds", 0), -1.0, "normalizer.stds must be > 0, got -1.0"),
         (("normalizer", "constant_flags", 0), "no",
@@ -485,7 +525,7 @@ class TestDamagedCheckpoint:
         (("arch", "activation"), "relu",
          "arch: activation must be one of ('sigmoid', 'tanh'), got 'relu'"),
     ], ids=["dict in means", "string in means", "dict as weights", "ragged weights",
-            "short weights", "zero std", "negative std", "string flag", "null seed",
+            "short weights", "400-digit weight", "zero std", "negative std", "string flag", "null seed",
             "fractional hidden size", "unknown activation"])
     def test_refused_with_file_and_field_named(self, tmp_path, workspace, path, value, message):
         payload = json.loads((workspace / "model.json").read_text())
@@ -590,6 +630,7 @@ class TestConfigFile:
         code, stderr = run_quietly(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert code == 1 and stderr.count("\n") == 1
         assert stderr.startswith("error: cfg.yaml: unparsable config: ")
+        assert stderr.endswith(" 'x' at line 1, column 7\n")
 
     @pytest.mark.parametrize("line,key", [
         ('workers: "2"', "workers"), ("epochs: 2.5", "epochs"),
@@ -635,6 +676,8 @@ class TestConfigFile:
         ("evaluate", "split", "bogus",
          "split must be one of ('train', 'val', 'test', 'all'), got 'bogus'"),
         ("train", "epochs", "2.5", "epochs must be an integer, got 2.5"),
+        ("train", "epochs", "1:30", "epochs must be an integer, got '1:30'"),
+        ("train", "epochs", "0x10", "epochs must be an integer, got '0x10'"),
         ("evaluate", "seed", "x", "seed must be an integer, got 'x'"),
     ])
     def test_bad_flag_value_is_refused_as_in_a_config(self, tmp_path, workspace, command, key,
@@ -658,7 +701,8 @@ class TestConfigFile:
         assert run_quietly(argv) == (1, f"error: epochs must be an integer, got {text!r}\n")
 
     @pytest.mark.parametrize("flag,key,text,value", [
-        ("--epochs", "epochs", "300", 300), ("--lr", "learning_rate", "1e-3", 0.001),
+        ("--epochs", "epochs", "300", 300), ("--epochs", "epochs", "010", 10),
+        ("--lr", "learning_rate", "1e-3", 0.001),
         ("--lr", "learning_rate", "1", 1), ("--seed", "seed", "-7", -7)])
     def test_number_flag_is_read_as_a_config_value(self, tmp_path, flag, key, text, value):
         cfg = tmp_path / "cfg.yaml"
@@ -698,6 +742,24 @@ class TestConfigFile:
         assert len(stderr) <= 121  # the line and its newline
         assert path[-25:] in stderr  # the end of the path, where its file name is
         assert not (tmp_path / "out").exists()
+
+    def test_single_hidden_size_builds_one_hidden_layer(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("hidden: 60\n")
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+        arch = cli.build_config(args).train_config().arch
+        assert arch.hidden_sizes == (60,) and arch.layer_dims()[0] == (60, 6)
+
+    @pytest.mark.parametrize("line,message", [
+        ("oracle: 5", "oracle must be a mapping, got int"),
+        ("oracle: {stations: [1]}", "oracle: stations[0] must be a (lon, lat) pair, got 1"),
+    ])
+    def test_malformed_oracle_block_refused(self, tmp_path, line, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(line + "\n")
+        assert run_quietly(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == (
+            1, f"error: {message}\n")
+        assert not (tmp_path / "c").exists()
 
     def test_default_oracle_is_built_once(self):
         args = cli.build_parser().parse_args(["generate"])

@@ -37,6 +37,7 @@ from surgenet.dataset import (
     default_oracle,
     format_rows,
     generate_track,
+    interpolate_to_grid,
     load_track_csv,
     read_input_series,
     read_manifest,
@@ -199,7 +200,7 @@ def reference_read_input_series(path):
         raise RowCountError(f"{path.name}: no data rows")
     with named(path.name):
         dataset._check_input_ranges(rows)
-    return rows
+        return interpolate_to_grid(rows)
 
 
 def reference_rows(path, names):

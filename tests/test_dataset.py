@@ -512,7 +512,7 @@ class TestInterpolateToGrid:
             interpolate_to_grid(np.zeros(shape))
 
     def test_empty_block_rejected(self):
-        # As read_input_series refuses a file with no data rows.
+        # Which is how read_input_series refuses a file with no data rows.
         with pytest.raises(RowCountError, match=r"^in.csv: no data rows$"):
             with named("in.csv"):
                 interpolate_to_grid(np.zeros((0, 6)))
@@ -526,8 +526,9 @@ class TestReadInputSeries:
             "0.5,-76.0,34.5,50,30,5\n"
             "0.0,-76.2,34.6,50,30,5\n")
         data = read_input_series(path)
-        assert data.shape == (2, 6)
-        assert data[0, 0] == 0.5
+        assert data.shape == (N_ROWS, 6)
+        np.testing.assert_array_equal(data[:, 0], tau_grid())
+        assert data[LANDFALL_ROW - 24, 1] == -76.0  # the row at tau = 0.5
 
     def test_full_track_file_works_extras_ignored(self, tmp_path):
         tr = make_track(seed=14)
@@ -542,8 +543,8 @@ class TestReadInputSeries:
             "vmax_ms,tau_days,lon_deg,lat_deg,rmax_km,fspeed_ms,note\n"
             "30,0.5,-76.0,34.5,50,5,hello\n")
         data = read_input_series(path)
-        assert data[0, 0] == 0.5  # tau first in the returned layout
-        assert data[0, 4] == 30.0
+        np.testing.assert_array_equal(data[:, 0], tau_grid())  # tau first in the returned layout
+        assert (data[:, 4] == 30.0).all()
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "in.csv"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -221,18 +222,14 @@ class TestCheckpoint:
 
     def test_reloaded_arrays_are_shared_and_read_only(self, saved):
         *_, path = saved
-        first, second = load_checkpoint(path), load_checkpoint(path)
-
-        def arrays(ckpt):
-            return [*(a for layer in ckpt.net.layers for a in layer), ckpt.normalizer.means,
-                    ckpt.normalizer.stds, ckpt.normalizer.constant_flags]
-
-        for a, b in zip(arrays(first), arrays(second), strict=True):
-            assert a is b
+        ckpt = load_checkpoint(path)
+        assert load_checkpoint(path) is ckpt
+        for a in (ckpt.net.flat, *(a for layer in ckpt.net.layers for a in layer),
+                  ckpt.normalizer.means, ckpt.normalizer.stds, ckpt.normalizer.constant_flags):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
-        first.net = None  # the next caller still gets every layer
-        assert len(load_checkpoint(path).net.layers) == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ckpt.net = None
 
     def test_truncated_file_is_a_parse_error(self, saved):
         *_, path = saved
