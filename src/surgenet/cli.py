@@ -50,10 +50,8 @@ class _RunSettings:
 
     def __post_init__(self):
         check_fields(self)
-        try:
+        with named("hidden"):
             self.hidden = _architecture(self.hidden, self.activation).hidden_sizes
-        except ValueError as exc:  # int() of a non-integer, or Architecture's ConfigError
-            raise ConfigError(f"hidden: {exc!s:.80}") from None  # int() echoes 200 characters
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(arch=_architecture(self.hidden, self.activation),
@@ -72,10 +70,10 @@ RunConfig = dataclasses.make_dataclass(
 def _architecture(hidden, activation) -> Architecture:
     """The network from the track schema's inputs to its stations, with hidden
     sizes given as "32,64", a single int, or a sequence of sizes that
-    Architecture accepts (1-2 positive integers)."""
+    Architecture accepts (1-2 positive integers). Each part of "32,64" is
+    read as a number flag is, so Architecture refuses what is not an integer."""
     if isinstance(hidden, str):
-        parts = [p.strip() for p in hidden.split(",") if p.strip()]
-        hidden = [int(p) for p in parts]
+        hidden = [_flag_number(p.strip()) for p in hidden.split(",") if p.strip()]
     elif isinstance(hidden, int):
         hidden = [hidden]
     return Architecture(len(dataset.INPUT_COLUMNS), hidden, dataset.N_STATIONS, activation)
@@ -154,8 +152,9 @@ def load_config_file(path) -> dict:
 
 
 def _flag_number(text: str):
-    """A number flag's text, read as the config file reads a value; the text
-    itself where YAML cannot read it or reads null, for RunConfig to refuse."""
+    """A number flag's text, or one size of a "32,64" hidden string, read as
+    the config file reads a value; the text itself where YAML cannot read it
+    or reads null, for RunConfig or Architecture to refuse."""
     try:
         value = yaml.load(text, Loader=_ConfigLoader)
     except _UNREADABLE:

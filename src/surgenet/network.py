@@ -26,10 +26,9 @@ from .errors import (
     check_value,
     named,
 )
+from .numerics import ACTIVATIONS
 
 CHECKPOINT_VERSION = 1
-
-ACTIVATIONS = {"tanh": numerics.tanh_act, "sigmoid": numerics.sigmoid_act}
 
 
 @dataclass(frozen=True)

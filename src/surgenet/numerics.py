@@ -1,14 +1,15 @@
 """Activations and the seeded random source used everywhere else in the
-package.
+package. This module is the one place that knows an activation: ACTIVATIONS
+maps each name to its function and SLOPES to its derivative.
 
 Everything here is pure, but numpy picks its exp and tanh kernels per CPU:
 the same seed, the same numpy SIMD targets, and the same OpenBLAS core and
 thread count give the same bytes, for any number of workers.
 
-Each activation pulls saturated outputs inside its open interval, and
-declares a radius within which its formula cannot saturate. Given a bound on
-the magnitude of its inputs that lies below the radius, it skips that work,
-which then could change no bit.
+Each activation pulls saturated outputs inside its open interval by one
+rule, _pull_inside, and declares a radius within which its formula cannot
+saturate. Given a bound on the magnitude of its inputs that lies below the
+radius, it skips that work, which then could change no bit.
 """
 
 import math
@@ -17,10 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 
-# Largest float64 strictly below 1; saturated activations are pulled onto
-# this so outputs stay strictly inside their open intervals.
-_ONE_BELOW = np.nextafter(1.0, 0.0)
-_ZERO_ABOVE = np.nextafter(0.0, 1.0)
 # Below these input magnitudes neither formula reaches the ends of its
 # interval: 1 - tanh(16) is about 2.5e-14, some 230 ulps below 1, and
 # sigmoid(+-30) lies about 9.4e-14 inside (0, 1). On a Xeon with AVX-512,
@@ -31,25 +28,30 @@ _TANH_RADIUS = 16.0
 _SIGMOID_RADIUS = 30.0
 
 
-def tanh_act(v, out=None, bound=math.inf) -> np.ndarray:
-    """Componentwise hyperbolic tangent, written into out if given (out may
-    be v itself).
+def _pull_inside(out, low, high, bound, radius) -> np.ndarray:
+    """out, an activation's values, with every entry at or beyond an end of
+    (low, high) moved in place onto the nearest float inside. A bound on the
+    activation's inputs below its radius means no entry can be there, and
+    out is not read. Otherwise out is clipped unless its largest entry is
+    below high and its smallest above low, where clipping would change no
+    bit. A NaN makes max and min NaN and fails both comparisons, so a block
+    holding one is clipped: np.clip keeps the NaN and pulls in the saturated
+    entries beside it. initial= lets an empty block through, as np.clip
+    does."""
+    # A NaN bound fails the comparison too, so the block is searched.
+    if bound < radius or (out.max(initial=low) < high and out.min(initial=high) > low):
+        return out
+    return np.clip(out, np.nextafter(low, high), np.nextafter(high, low), out=out)
 
-    Saturated entries are pulled in by one ulp so results are strictly
-    inside (-1, 1). bound, if given, is at least the largest |v|; below
-    _TANH_RADIUS no entry can saturate, and v is not searched for one.
+
+def tanh_act(v, out=None, bound=math.inf) -> np.ndarray:
+    """Componentwise hyperbolic tangent, strictly inside (-1, 1), written
+    into out if given (out may be v itself). bound, if given, is at least the
+    largest |v|; below _TANH_RADIUS no entry can saturate, and v is not
+    searched for one.
     """
     out = np.tanh(np.asarray(v, dtype=np.float64), out=out)
-    # A NaN bound fails the comparison, so the block is searched.
-    if bound < _TANH_RADIUS:
-        return out
-    # Clipping rewrites every entry; finding none saturated only reads them.
-    # A NaN fails both comparisons and np.clip keeps it, so skipping the clip
-    # when nothing reaches +-1 changes no bit. initial= lets an empty block
-    # through, as np.clip does.
-    if out.max(initial=0.0) >= 1.0 or out.min(initial=0.0) <= -1.0:
-        np.clip(out, -_ONE_BELOW, _ONE_BELOW, out=out)
-    return out
+    return _pull_inside(out, -1.0, 1.0, bound, _TANH_RADIUS)
 
 
 def sigmoid_act(v, out=None, bound=math.inf) -> np.ndarray:
@@ -57,10 +59,9 @@ def sigmoid_act(v, out=None, bound=math.inf) -> np.ndarray:
     out if given (out may be v itself).
 
     With e = exp(-|v|), which never exponentiates a large positive argument,
-    it is 1 / (1 + e) where v >= 0 and e / (1 + e) where v < 0. Saturated
-    entries are pulled in to the nearest float inside (0, 1); bound, if
-    given, is at least the largest |v|, and below _SIGMOID_RADIUS no entry
-    can saturate, so none is clipped.
+    it is 1 / (1 + e) where v >= 0 and e / (1 + e) where v < 0. bound, if
+    given, is at least the largest |v|; below _SIGMOID_RADIUS no entry can
+    saturate, and v is not searched for one.
     """
     z = np.asarray(v, dtype=np.float64)
     neg = z < 0
@@ -71,9 +72,18 @@ def sigmoid_act(v, out=None, bound=math.inf) -> np.ndarray:
     np.divide(e, out, out=e)
     np.divide(1.0, out, out=out)
     np.copyto(out, e, where=neg)
-    if bound < _SIGMOID_RADIUS:
-        return out
-    return np.clip(out, _ZERO_ABOVE, _ONE_BELOW, out=out)
+    return _pull_inside(out, 0.0, 1.0, bound, _SIGMOID_RADIUS)
+
+
+ACTIVATIONS = {"tanh": tanh_act, "sigmoid": sigmoid_act}
+
+# Each activation's derivative, written in terms of its value h: h is
+# overwritten with 1 - h^2 (tanh) or h * (1 - h) (sigmoid), and scratch, an
+# array of h's shape, may be overwritten on the way.
+SLOPES = {
+    "tanh": lambda h, scratch: np.subtract(1.0, np.multiply(h, h, out=h), out=h),
+    "sigmoid": lambda h, scratch: np.multiply(h, np.subtract(1.0, h, out=scratch), out=h),
+}
 
 
 class Rng:

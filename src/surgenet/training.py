@@ -28,7 +28,7 @@ from .network import (
     layer_operands,
     layer_views,
 )
-from .numerics import Rng
+from .numerics import SLOPES, Rng
 
 DEFAULT_SEED = 20170324
 
@@ -97,17 +97,6 @@ class _StepBuffers:
         self.ones = np.ones(rows)
 
 
-def _slope_in_place(activation: str, h: np.ndarray, scratch: np.ndarray) -> None:
-    # Overwrite activation values with the activation's derivative, written in
-    # terms of the value itself: 1 - h^2 (tanh) or h * (1 - h) (sigmoid).
-    if activation == "tanh":
-        np.multiply(h, h, out=h)
-        np.subtract(1.0, h, out=h)
-    else:
-        np.subtract(1.0, h, out=scratch)
-        np.multiply(h, scratch, out=h)
-
-
 def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
                     buffers: _StepBuffers, operands: list, grads: list) -> tuple:
     """Mean squared error over all rows and outputs, and its exact gradient,
@@ -141,7 +130,7 @@ def _batch_backprop(net: NetworkParams, x: np.ndarray, t: np.ndarray,
             w, _ = net.layers[i]
             slope = hidden[i - 1]
             next_delta = buffers.deltas[i - 1][:n]
-            _slope_in_place(net.arch.activation, slope, next_delta)
+            SLOPES[net.arch.activation](slope, next_delta)
             delta = np.matmul(delta, w, out=next_delta)
             delta *= slope
     return loss, grads

@@ -161,6 +161,19 @@ class TestTrain:
         assert stderr.startswith("error: hidden: hidden_sizes[0] must be in [1, 1024], got ")
         assert stderr.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("text,echo", [
+        ("0x10", "'0x10'"), ("1e3", "1000.0"), ("٣٢", "'٣٢'"),
+        ("9" * 5000, "'" + "9" * 39),  # past int()'s 4300-digit limit
+    ], ids=["hex", "exponent", "arabic-indic", "5000-digits"])
+    def test_hidden_size_is_read_as_a_number_flag(self, tmp_path, workspace, text, echo):
+        # Each comma-separated size is read as --epochs is, so a form YAML
+        # does not read as a decimal integer is refused by Architecture's rule.
+        out = tmp_path / "m.json"
+        assert run_quietly(["train", "--corpus", str(workspace / "corpus"), "--hidden", text,
+                            "--out", str(out)]) == (
+            1, f"error: hidden: hidden_sizes[0] must be an integer, got {echo}\n")
+        assert not out.exists()
+
     def test_test_split_files_are_not_read(self, tmp_path, workspace, capsys):
         corpus, _ = damaged_corpus(workspace, tmp_path / "corpus", "test")
         args = ["train", "--seed", "33", "--hidden", "8", "--epochs", "10",

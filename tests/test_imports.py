@@ -2,12 +2,16 @@
 every name a module imports is used in that module, every name a module
 binds is used somewhere, and every message cuts the values it echoes, a
 foreign exception's message, a caller's argument and an array's shape
-included, and one function builds every DatasetSplit."""
+included, one function builds every DatasetSplit, and only numerics tells
+one activation from another."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from surgenet import network, numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "surgenet").glob("*.py"))
@@ -307,3 +311,49 @@ def f(tracks):
     return g, DatasetSplits(), split.DatasetSplit
 """)
     assert split_builders(tree) == ["", "_partition", "g"]
+
+
+ACTIVATION_NAMES = {"tanh", "sigmoid"}
+
+
+def activation_comparisons(tree):
+    """The source of each comparison one of whose operands is an activation
+    name, or a tuple, list or set holding one: code that branches on the
+    activation instead of looking it up in numerics' tables."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) \
+                    else [operand]
+                if any(isinstance(item, ast.Constant) and item.value in ACTIVATION_NAMES
+                       for item in items):
+                    yield ast.unparse(node)
+                    break
+
+
+def test_only_numerics_compares_with_an_activation_name():
+    # numerics owns each activation, its slope and its saturation rule;
+    # network and training look them up by the architecture's name.
+    found = [f"{path.name}: {cmp}" for path in SOURCES if path.name != "numerics.py"
+             for cmp in activation_comparisons(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_activation_rule_sees_a_comparison():
+    tree = ast.parse("""
+if activation == "tanh":
+    pass
+ok = "sigmoid" != arch.activation or act in ("relu", "sigmoid")
+table = {"tanh": f}["tanh"]
+default = "tanh"
+""")
+    assert list(activation_comparisons(tree)) == [
+        "activation == 'tanh'", "'sigmoid' != arch.activation",
+        "act in ('relu', 'sigmoid')"]
+
+
+def test_every_activation_table_names_the_same_set():
+    choices = next(f for f in dataclasses.fields(network.Architecture)
+                   if f.name == "activation").metadata["choices"]
+    assert network.ACTIVATIONS is numerics.ACTIVATIONS
+    assert set(numerics.ACTIVATIONS) == set(numerics.SLOPES) == set(choices) == ACTIVATION_NAMES

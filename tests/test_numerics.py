@@ -38,29 +38,67 @@ class TestActivations:
         np.testing.assert_array_equal(other, expected)
         assert np.all(expected > -1.0) and np.all(expected < 1.0)
 
+    # Each activation, the end its formula reaches on the low side, and an
+    # input magnitude at which the formula reaches both ends.
+    SATURATING = pytest.mark.parametrize("act, low, big", [(tanh_act, -1.0, 40.0),
+                                                           (sigmoid_act, 0.0, 800.0)],
+                                         ids=["tanh", "sigmoid"])
+
+    @staticmethod
+    def clipped_everywhere(act, v, low):
+        # The formula alone (a bound of 0 skips all saturation handling),
+        # then every entry clipped onto the floats inside (low, 1).
+        return np.clip(act(v, bound=0.0), np.nextafter(low, 1.0), ONE_BELOW)
+
+    @SATURATING
     @pytest.mark.parametrize("bounded", [False, True])
-    @pytest.mark.parametrize("fill", ["none", "high", "low", "nan", "all_nan", "empty"])
-    def test_tanh_bits_match_clipping_every_entry(self, fill, bounded):
-        # tanh_act clips only blocks that reach +-1, and searches only those
-        # whose bound is not below its radius; the bits must be those of
-        # clipping every block, NaN, -0.0 and infinities included.
+    @pytest.mark.parametrize("fill", ["none", "high", "low", "nan", "nan_high", "nan_low",
+                                      "all_nan", "empty"])
+    def test_bits_match_clipping_every_entry(self, act, low, big, fill, bounded):
+        # An activation clips only blocks that reach an end of its interval
+        # or hold a NaN, and searches only those whose bound is not below its
+        # radius; the bits must be those of clipping every block, NaN, -0.0
+        # and infinities included, and a saturated entry beside a NaN too.
         v = Rng(3).normal(size=(476, 64))
         v[0, 0] = -0.0
-        if fill == "high":
-            v[5, 7:9] = [40.0, np.inf]
-        elif fill == "low":
-            v[5, 7:9] = [-40.0, -np.inf]
-        elif fill == "nan":
+        if fill in ("high", "nan_high"):
+            v[5, 7:9] = [big, np.inf]
+        elif fill in ("low", "nan_low"):
+            v[5, 7:9] = [-big, -np.inf]
+        if fill.startswith("nan"):
             v[9, 9] = np.nan
         elif fill == "all_nan":
             v[:] = np.nan
         elif fill == "empty":
             v = v[:0]
         bound = np.abs(v).max(initial=0.0) if bounded else math.inf
-        expected = np.clip(np.tanh(v), -ONE_BELOW, ONE_BELOW)
-        assert tanh_act(v, bound=bound).tobytes() == expected.tobytes()
+        expected = self.clipped_everywhere(act, v, low).tobytes()
+        assert act(v, bound=bound).tobytes() == expected
         buf = v.copy()
-        assert tanh_act(buf, out=buf, bound=bound).tobytes() == expected.tobytes()
+        assert act(buf, out=buf, bound=bound).tobytes() == expected
+
+    @SATURATING
+    @pytest.mark.parametrize("bound", ["radius", math.inf, math.nan])
+    def test_a_block_inside_its_interval_is_never_clipped(self, monkeypatch, act, low, big,
+                                                         bound):
+        # The bound does not rule saturation out, but no entry reached an end,
+        # so the block is only read; one saturated entry gets it clipped.
+        if bound == "radius":
+            bound = {tanh_act: _TANH_RADIUS, sigmoid_act: _SIGMOID_RADIUS}[act]
+        v = Rng(4).normal(size=(476, 64))
+        expected = self.clipped_everywhere(act, v, low).tobytes()
+        clipped, clip = [], np.clip
+
+        def spied(a, *args, **kwargs):
+            clipped.append(a.shape)
+            return clip(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", spied)
+        assert act(v, bound=bound).tobytes() == expected
+        assert clipped == []
+        v[3, 3] = big
+        act(v, bound=bound)
+        assert clipped == [v.shape]
 
     def test_sigmoid_zero_is_half(self):
         assert sigmoid_act(np.array([0.0])).tolist() == [0.5]
